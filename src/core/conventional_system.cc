@@ -110,9 +110,7 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
         fresh.pfn = translation->pfn;
         fresh.asid = asid;
         fresh.rights = state_.effectiveRights(domain, vpn);
-        tlb_.insert(vpn, fresh);
-        entry = tlb_.find(vpn, asid);
-        SASOS_ASSERT(entry != nullptr, "TLB lost a fresh entry");
+        entry = &tlb_.insert(vpn, fresh);
         SASOS_OBS_EVENT(obs::EventKind::TlbFill, account_.total().count(),
                         va.raw(), asid);
     } else {
@@ -196,11 +194,8 @@ ConventionalSystem::accessFast(os::DomainId domain, vm::VAddr va,
             fresh.pfn = translation->pfn;
             fresh.asid = asid;
             fresh.rights = state_.effectiveRights(domain, vpn);
-            tlb_.insert(vpn, fresh);
-            entry = tlb_.find(vpn, asid);
-            SASOS_ASSERT(entry != nullptr, "TLB lost a fresh entry");
-            // A fill's way is unknown without re-probing, so this
-            // reference does not memoize; the next same-page one does.
+            entry = &tlb_.insert(vpn, fresh);
+            // Only hits memoize; the next same-page reference does.
         } else {
             memo_.valid = true;
             memo_.domain = domain;

@@ -124,9 +124,7 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
         fresh.pfn = translation->pfn;
         fresh.aid = st.aid;
         fresh.rights = st.rights;
-        tlb_.insert(vpn, fresh);
-        entry = tlb_.find(vpn);
-        SASOS_ASSERT(entry != nullptr, "TLB lost a fresh entry");
+        entry = &tlb_.insert(vpn, fresh);
         SASOS_OBS_EVENT(obs::EventKind::TlbFill, account_.total().count(),
                         va.raw(), st.aid);
     } else {
@@ -252,9 +250,7 @@ PageGroupSystem::accessFast(os::DomainId domain, vm::VAddr va,
             fresh.pfn = translation->pfn;
             fresh.aid = st.aid;
             fresh.rights = st.rights;
-            tlb_.insert(vpn, fresh);
-            entry = tlb_.find(vpn);
-            SASOS_ASSERT(entry != nullptr, "TLB lost a fresh entry");
+            entry = &tlb_.insert(vpn, fresh);
         }
 
         // --- Page-group check, dependent on the TLB output.

@@ -241,9 +241,7 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
         hw::TlbEntry fresh;
         fresh.pfn = translation->pfn;
         fresh.aid = keyFor(vpn);
-        tlb_.insert(vpn, fresh);
-        entry = tlb_.find(vpn);
-        SASOS_ASSERT(entry != nullptr, "TLB lost a fresh entry");
+        entry = &tlb_.insert(vpn, fresh);
         SASOS_OBS_EVENT(obs::EventKind::TlbFill, account_.total().count(),
                         va.raw(), entry->aid);
     } else {
@@ -351,11 +349,8 @@ PkeySystem::accessFast(os::DomainId domain, vm::VAddr va,
             hw::TlbEntry fresh;
             fresh.pfn = translation->pfn;
             fresh.aid = keyFor(vpn);
-            tlb_.insert(vpn, fresh);
-            entry = tlb_.find(vpn);
-            SASOS_ASSERT(entry != nullptr, "TLB lost a fresh entry");
-            // A fill's way is unknown without re-probing, so this
-            // reference does not memoize; the next same-page one does.
+            entry = &tlb_.insert(vpn, fresh);
+            // Only hits memoize; the next same-page reference does.
         }
         const hw::KeyId key = entry->aid;
         hw::AssocLoc kpr_loc;

@@ -415,7 +415,12 @@ class Coordinator
         slot.doomed = false;
         ++stats_.chaosKills;
         ::kill(slot.pid, SIGKILL);
-        // Death is observed as EOF on the pipe and handled there.
+        // Reap now rather than at the pipe's EOF. Frames the worker
+        // wrote before dying (even the cell's Done) are dropped with
+        // it, and the slot cannot take a new order in between, so each
+        // kill costs its cell exactly one retry however fast the
+        // worker ran.
+        reap(slot);
     }
 
     void
@@ -453,6 +458,7 @@ class Coordinator
     void
     drain(WorkerSlot &slot)
     {
+        const pid_t pid = slot.pid;
         bool eof = false;
         u8 chunk[65536];
         for (;;) {
@@ -493,7 +499,9 @@ class Coordinator
                 return;
             }
             handle(slot, message);
-            if (!slot.alive)
+            // Reaped, and possibly respawned: the rest of the stream,
+            // and its EOF, belonged to the dead worker.
+            if (!slot.alive || slot.pid != pid)
                 return;
         }
         if (eof)

@@ -14,6 +14,16 @@
  * The external API (lookup/probe/insert/purge scans) and the snapshot
  * byte format are unchanged from the AoS layout.
  *
+ * Sets of at least kWideSetWays ways (the fully associative TLBs, PLBs
+ * and page-group/key caches) also keep an open-addressing index from
+ * (set, tag) to slot number, so lookup, probe, insert and invalidate
+ * cost O(1) host time instead of a scan of up to 512 tags, plus a
+ * per-set valid count so a full set goes straight to its victim.
+ * The index holds slot numbers only; tags stay in the SoA lane, and
+ * deletion uses backward shift, so no tombstones build up. Narrow
+ * sets keep the plain linear probe, which is also the reference the
+ * index is tested against. Neither changes any simulated result.
+ *
  * Purge operations report how many entries were *scanned* as well as
  * how many were invalidated, because the paper's cost arguments
  * distinguish a full inspect-every-entry pass (PLB detach) from an
@@ -23,7 +33,10 @@
 #ifndef SASOS_HW_ASSOC_CACHE_HH
 #define SASOS_HW_ASSOC_CACHE_HH
 
+#include <algorithm>
+#include <bit>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "hw/replacement.hh"
@@ -32,6 +45,17 @@
 
 namespace sasos::hw
 {
+
+/**
+ * Fold one field into a tag hash. Keys with several fields hash them
+ * one by one through this, never as raw bytes, so struct padding
+ * cannot leak into the index.
+ */
+constexpr u64
+hashField(u64 hash, u64 field)
+{
+    return (hash ^ field) * 0x9E3779B97F4A7C15ull;
+}
 
 /** Result of a scan-style purge. */
 struct PurgeResult
@@ -54,7 +78,8 @@ struct AssocLoc
 /**
  * Set-associative storage of (Tag -> Payload).
  *
- * @tparam Tag      equality-comparable lookup key (within a set).
+ * @tparam Tag      equality-comparable lookup key (within a set); an
+ *                  integer, or a struct with a `u64 hash() const`.
  * @tparam Payload  per-entry data.
  */
 template <typename Tag, typename Payload>
@@ -75,9 +100,18 @@ class AssocCache
           tags_(sets * ways),
           payloads_(sets * ways),
           policy_(makePolicy(policy, sets, ways, seed)),
-          needsTouch_(policy_->needsTouch())
+          needsTouch_(policy_->needsTouch()),
+          indexed_(ways >= kWideSetWays)
     {
         SASOS_ASSERT(sets > 0 && ways > 0, "degenerate cache geometry");
+        if (indexed_) {
+            SASOS_ASSERT(valid_.size() < kEmpty, "cache too large to index");
+            // At most half full, so probe runs stay short.
+            const std::size_t buckets = std::bit_ceil(2 * valid_.size());
+            index_.assign(buckets, kEmpty);
+            indexShift_ = 64 - std::countr_zero(buckets);
+            setValid_.assign(sets, 0);
+        }
     }
 
     std::size_t sets() const { return sets_; }
@@ -137,32 +171,50 @@ class AssocCache
      * Insert, evicting if the set is full.
      * Inserting a tag that is already present is a caller bug
      * (use lookup + modify payload instead) and panics.
+     * @param loc filled with where the new entry went when non-null;
+     *            at() reads it back without a re-probe.
      * @return the evicted valid entry, if any.
      */
     std::optional<Victim>
-    insert(std::size_t set, const Tag &tag, Payload payload)
+    insert(std::size_t set, const Tag &tag, Payload payload,
+           AssocLoc *loc = nullptr)
     {
         SASOS_ASSERT(findWay(set, tag) == kNoWay,
                      "inserting duplicate tag");
         const std::size_t base = set * ways_;
-        // Prefer an invalid way.
-        for (std::size_t way = 0; way < ways_; ++way) {
-            if (!valid_[base + way]) {
-                valid_[base + way] = 1;
-                tags_[base + way] = tag;
-                payloads_[base + way] = std::move(payload);
-                policy_->fill(set, way);
-                ++occupancy_;
-                return std::nullopt;
-            }
+        std::optional<Victim> victim;
+        // Prefer the lowest invalid way; a full wide set has none.
+        std::size_t way = indexed_ && setValid_[set] == ways_ ? ways_ : 0;
+        while (way < ways_ && valid_[base + way])
+            ++way;
+        if (way < ways_) {
+            valid_[base + way] = 1;
+            ++occupancy_;
+            if (indexed_)
+                ++setValid_[set];
+        } else {
+            way = policy_->victim(set);
+            SASOS_ASSERT(way < ways_, "policy returned bad way");
+            if (indexed_)
+                indexErase(set, base + way);
+            victim = Victim{tags_[base + way],
+                            std::move(payloads_[base + way])};
         }
-        const std::size_t way = policy_->victim(set);
-        SASOS_ASSERT(way < ways_, "policy returned bad way");
-        Victim victim{tags_[base + way], std::move(payloads_[base + way])};
         tags_[base + way] = tag;
         payloads_[base + way] = std::move(payload);
+        if (indexed_)
+            indexInsert(set, base + way);
         policy_->fill(set, way);
+        if (loc != nullptr)
+            *loc = {set, way};
         return victim;
+    }
+
+    /** The entry at a location from lookup() or insert(). */
+    Payload &
+    at(const AssocLoc &loc)
+    {
+        return payloads_[loc.set * ways_ + loc.way];
     }
 
     /** Invalidate one entry if present. @return true if it existed. */
@@ -172,8 +224,7 @@ class AssocCache
         const std::size_t way = findWay(set, tag);
         if (way == kNoWay)
             return false;
-        valid_[set * ways_ + way] = 0;
-        --occupancy_;
+        drop(set * ways_ + way);
         return true;
     }
 
@@ -195,8 +246,7 @@ class AssocCache
             if (!valid_[i])
                 continue;
             if (pred(tags_[i], payloads_[i])) {
-                valid_[i] = 0;
-                --occupancy_;
+                drop(i);
                 ++result.invalidated;
             }
         }
@@ -218,8 +268,7 @@ class AssocCache
             if (!valid_[i])
                 continue;
             if (n-- == 0) {
-                valid_[i] = 0;
-                --occupancy_;
+                drop(i);
                 return Victim{tags_[i], payloads_[i]};
             }
         }
@@ -238,6 +287,10 @@ class AssocCache
             }
         }
         occupancy_ = 0;
+        if (indexed_ && dropped != 0) {
+            std::fill(index_.begin(), index_.end(), kEmpty);
+            std::fill(setValid_.begin(), setValid_.end(), 0);
+        }
         policy_->reset();
         return dropped;
     }
@@ -290,8 +343,9 @@ class AssocCache
      * validates it: the set/way shape must match, and a set may not
      * carry duplicate valid tags (insert() would treat that as a
      * caller bug and abort; for untrusted input it must be a clean
-     * fatal instead). Occupancy is recomputed, and the replacement
-     * policy restores its own history afterwards.
+     * fatal instead). Wide sets find duplicates while rebuilding the
+     * index, narrow ones by a pairwise scan. Occupancy is recomputed,
+     * and the replacement policy restores its own history afterwards.
      */
     /// @{
     template <typename SaveTag, typename SavePayload>
@@ -335,6 +389,145 @@ class AssocCache
                 payloads_[i] = Payload{};
             }
         }
+        if (indexed_)
+            rebuildIndex();
+        else
+            rejectDuplicateTags();
+        policy_->load(r);
+    }
+    /// @}
+
+  private:
+    static constexpr std::size_t kNoWay = static_cast<std::size_t>(-1);
+    /** An unused index bucket. */
+    static constexpr u32 kEmpty = static_cast<u32>(-1);
+
+    /** The tight probe: the index on wide sets, else a dense valid/tag
+     * scan; no payload traffic either way. */
+    std::size_t
+    findWay(std::size_t set, const Tag &tag) const
+    {
+        SASOS_ASSERT(set < sets_, "set index ", set, " out of range");
+        const std::size_t base = set * ways_;
+        if (indexed_) {
+            for (std::size_t b = bucketOf(set, tag);;
+                 b = (b + 1) & (index_.size() - 1)) {
+                const u32 slot = index_[b];
+                if (slot == kEmpty)
+                    return kNoWay;
+                if (slot - base < ways_ && tags_[slot] == tag)
+                    return slot - base;
+            }
+        }
+        const u8 *valid = valid_.data() + base;
+        const Tag *tags = tags_.data() + base;
+        for (std::size_t way = 0; way < ways_; ++way) {
+            if (valid[way] && tags[way] == tag)
+                return way;
+        }
+        return kNoWay;
+    }
+
+    /** Clear one valid slot's bit, keeping counts and index in step. */
+    void
+    drop(std::size_t slot)
+    {
+        valid_[slot] = 0;
+        --occupancy_;
+        if (indexed_) {
+            const std::size_t set = setOfSlot(slot);
+            --setValid_[set];
+            indexErase(set, slot);
+        }
+    }
+
+    /** @name Tag index (wide sets only) */
+    /// @{
+    static u64
+    tagHash(const Tag &tag)
+    {
+        if constexpr (std::is_integral_v<Tag>)
+            return hashField(0, static_cast<u64>(tag));
+        else
+            return tag.hash();
+    }
+
+    /** Home bucket: Fibonacci hashing of the (set, tag) pair. */
+    std::size_t
+    bucketOf(std::size_t set, const Tag &tag) const
+    {
+        return static_cast<std::size_t>(
+            hashField(tagHash(tag), set) >> indexShift_);
+    }
+
+    /** The set a slot belongs to; fully associative needs no divide. */
+    std::size_t
+    setOfSlot(std::size_t slot) const
+    {
+        return sets_ == 1 ? 0 : slot / ways_;
+    }
+
+    /** Index a valid slot of `set` whose tag is not indexed yet. */
+    void
+    indexInsert(std::size_t set, std::size_t slot)
+    {
+        std::size_t b = bucketOf(set, tags_[slot]);
+        while (index_[b] != kEmpty)
+            b = (b + 1) & (index_.size() - 1);
+        index_[b] = static_cast<u32>(slot);
+    }
+
+    /**
+     * Unindex a slot of `set` while tags_[slot] still holds its tag.
+     * Backward shift: each later entry of the probe run whose home
+     * bucket does not lie cyclically in (hole, entry] moves back into
+     * the hole.
+     */
+    void
+    indexErase(std::size_t set, std::size_t slot)
+    {
+        const std::size_t mask = index_.size() - 1;
+        std::size_t hole = bucketOf(set, tags_[slot]);
+        while (index_[hole] != slot)
+            hole = (hole + 1) & mask;
+        for (std::size_t b = (hole + 1) & mask; index_[b] != kEmpty;
+             b = (b + 1) & mask) {
+            const u32 moved = index_[b];
+            const std::size_t home =
+                bucketOf(setOfSlot(moved), tags_[moved]);
+            if (((b - home) & mask) >= ((b - hole) & mask)) {
+                index_[hole] = moved;
+                hole = b;
+            }
+        }
+        index_[hole] = kEmpty;
+    }
+
+    /** Re-index every valid slot after load(), rejecting a set that
+     * carries the same tag twice. */
+    void
+    rebuildIndex()
+    {
+        std::fill(index_.begin(), index_.end(), kEmpty);
+        std::fill(setValid_.begin(), setValid_.end(), 0);
+        for (std::size_t slot = 0; slot < valid_.size(); ++slot) {
+            if (!valid_[slot])
+                continue;
+            const std::size_t set = setOfSlot(slot);
+            if (findWay(set, tags_[slot]) != kNoWay)
+                SASOS_FATAL("corrupt snapshot: duplicate tag in cache "
+                            "set ",
+                            set);
+            indexInsert(set, slot);
+            ++setValid_[set];
+        }
+    }
+    /// @}
+
+    /** Pairwise duplicate check of a loaded narrow-set image. */
+    void
+    rejectDuplicateTags() const
+    {
         for (std::size_t set = 0; set < sets_; ++set) {
             const std::size_t base = set * ways_;
             for (std::size_t a = 0; a < ways_; ++a) {
@@ -349,26 +542,6 @@ class AssocCache
                 }
             }
         }
-        policy_->load(r);
-    }
-    /// @}
-
-  private:
-    static constexpr std::size_t kNoWay = static_cast<std::size_t>(-1);
-
-    /** The tight probe: dense valid/tag scan, no payload traffic. */
-    std::size_t
-    findWay(std::size_t set, const Tag &tag) const
-    {
-        SASOS_ASSERT(set < sets_, "set index ", set, " out of range");
-        const std::size_t base = set * ways_;
-        const u8 *valid = valid_.data() + base;
-        const Tag *tags = tags_.data() + base;
-        for (std::size_t way = 0; way < ways_; ++way) {
-            if (valid[way] && tags[way] == tag)
-                return way;
-        }
-        return kNoWay;
     }
 
     std::size_t sets_;
@@ -381,6 +554,14 @@ class AssocCache
     /** Cached policy_->needsTouch(): lookup skips the virtual touch
      * call entirely for FIFO/Random structures. */
     bool needsTouch_;
+    /** ways_ >= kWideSetWays: the members below are in use. */
+    bool indexed_;
+    /** Open-addressing (set, tag) -> slot table; kEmpty when unused. */
+    std::vector<u32> index_;
+    /** 64 - log2(index_.size()), for the Fibonacci hash. */
+    int indexShift_ = 64;
+    /** Valid ways per set. */
+    std::vector<u32> setValid_;
 };
 
 } // namespace sasos::hw

@@ -134,6 +134,7 @@ class KeyCache
         KeyId key = 0;
 
         bool operator==(const Key &) const = default;
+        u64 hash() const { return hashField(hashField(0, domain), key); }
     };
 
     KeyCacheConfig config_;

@@ -261,6 +261,13 @@ class Plb
         int sizeShift = 0;
 
         bool operator==(const Key &) const = default;
+        u64
+        hash() const
+        {
+            return hashField(
+                hashField(hashField(0, block), domain),
+                static_cast<u64>(sizeShift));
+        }
     };
 
     std::size_t setOf(u64 block) const;

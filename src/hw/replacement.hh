@@ -37,6 +37,16 @@ enum class PolicyKind
 
 const char *toString(PolicyKind kind);
 
+/**
+ * Sets with at least this many ways get O(1) bookkeeping: a tag index
+ * in AssocCache and a recency list in the LRU/FIFO policy. The fully
+ * associative TLBs, PLBs and page-group/key caches (128-512 ways) need
+ * it; the direct-mapped L1, the 4-way L2 and the 4-register PID file
+ * scan at most four ways, and giving every data-cache line links and
+ * index slots would cost memory and set-up time for nothing.
+ */
+constexpr std::size_t kWideSetWays = 16;
+
 /** Parse "lru" / "fifo" / "random" / "plru" (fatal on other input). */
 PolicyKind parsePolicyKind(const std::string &name);
 

@@ -80,18 +80,14 @@ Tlb::peek(vm::Vpn vpn, DomainId asid) const
     return array_.probe(setOf(vpn), keyOf(vpn, asid));
 }
 
-TlbEntry *
-Tlb::find(vm::Vpn vpn, DomainId asid)
-{
-    return array_.probe(setOf(vpn), keyOf(vpn, asid));
-}
-
-void
+TlbEntry &
 Tlb::insert(vm::Vpn vpn, const TlbEntry &entry)
 {
     ++insertions;
-    if (array_.insert(setOf(vpn), keyOf(vpn, entry.asid), entry))
+    AssocLoc loc;
+    if (array_.insert(setOf(vpn), keyOf(vpn, entry.asid), entry, &loc))
         ++evictions;
+    return array_.at(loc);
 }
 
 bool

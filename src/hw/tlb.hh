@@ -108,14 +108,13 @@ class Tlb
     /** Lookup without stats or replacement update (for tests). */
     const TlbEntry *peek(vm::Vpn vpn, DomainId asid = 0) const;
 
-    /** Mutable lookup without stats or replacement update. */
-    TlbEntry *find(vm::Vpn vpn, DomainId asid = 0);
-
     /**
      * Install an entry (evicting as needed). Duplicate (vpn[,asid])
      * insertion is a caller bug.
+     * @return the installed entry, valid until the next insert or
+     *         purge.
      */
-    void insert(vm::Vpn vpn, const TlbEntry &entry);
+    TlbEntry &insert(vm::Vpn vpn, const TlbEntry &entry);
 
     /** Modify the entry for one page in place. @return found. */
     bool setRights(vm::Vpn vpn, vm::Access rights, DomainId asid = 0);
@@ -197,6 +196,7 @@ class Tlb
         DomainId asid = 0;
 
         bool operator==(const Key &) const = default;
+        u64 hash() const { return hashField(hashField(0, vpn), asid); }
     };
 
     std::size_t setOf(vm::Vpn vpn) const;

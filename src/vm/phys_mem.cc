@@ -11,20 +11,20 @@ FrameAllocator::FrameAllocator(u64 frame_count)
     : allocated_(frame_count), refCounts_(frame_count, 0)
 {
     SASOS_ASSERT(frame_count > 0, "no physical memory");
-    freeList_.reserve(frame_count);
-    // Hand out low frame numbers first: push high numbers first so the
-    // vector's back is frame 0.
-    for (u64 i = frame_count; i > 0; --i)
-        freeList_.push_back(i - 1);
 }
 
 std::optional<Pfn>
 FrameAllocator::allocate()
 {
-    if (freeList_.empty())
+    u64 frame = 0;
+    if (!freeList_.empty()) {
+        frame = freeList_.back();
+        freeList_.pop_back();
+    } else if (nextFresh_ < allocated_.size()) {
+        frame = nextFresh_++;
+    } else {
         return std::nullopt;
-    const u64 frame = freeList_.back();
-    freeList_.pop_back();
+    }
     allocated_[frame] = true;
     refCounts_[frame] = 1;
     ++inUse_;
@@ -95,7 +95,10 @@ FrameAllocator::save(snap::SnapWriter &w) const
         }
     }
     w.put64(inUse_);
-    w.put64(freeList_.size());
+    // The full free list, bottom first: the run, then the stack.
+    w.put64(allocated_.size() - nextFresh_ + freeList_.size());
+    for (u64 frame = allocated_.size(); frame > nextFresh_; --frame)
+        w.put64(frame - 1);
     for (u64 frame : freeList_)
         w.put64(frame);
     // Refcounts of the allocated frames, in frame order (the bitmap
@@ -131,8 +134,11 @@ FrameAllocator::load(snap::SnapReader &r)
     if (free_count != capacity - inUse_)
         SASOS_FATAL("corrupt snapshot: free list carries ", free_count,
                     " frames, expected ", capacity - inUse_);
+    // The longest bottom run capacity-1, capacity-2, ... becomes the
+    // run; the rest is the stack. Any split hands out the same frames
+    // in the same order, and this one re-saves the same bytes.
     freeList_.clear();
-    freeList_.reserve(free_count);
+    nextFresh_ = capacity;
     std::vector<bool> seen(capacity, false);
     for (u64 i = 0; i < free_count; ++i) {
         const u64 frame = r.get64();
@@ -146,7 +152,10 @@ FrameAllocator::load(snap::SnapReader &r)
             SASOS_FATAL("corrupt snapshot: frame ", frame,
                         " on the free list twice");
         seen[frame] = true;
-        freeList_.push_back(frame);
+        if (freeList_.empty() && frame + 1 == nextFresh_)
+            nextFresh_ = frame;
+        else
+            freeList_.push_back(frame);
     }
     for (std::size_t i = 0; i < allocated_.size(); ++i) {
         if (!allocated_[i]) {

@@ -71,7 +71,17 @@ class FrameAllocator
   private:
     std::vector<bool> allocated_;
     std::vector<u32> refCounts_;
+    /**
+     * The free list is a bottom run of consecutive frames
+     * [nextFresh_, capacity), highest frame lowest (at construction,
+     * every frame), with the other free frames (freeList_) stacked on
+     * top. Only the stack is stored: the run hands out nextFresh_
+     * upwards once the stack is empty, exactly as the explicit list
+     * would, without an 8-byte slot per frame of a machine that
+     * touches few of them.
+     */
     std::vector<u64> freeList_;
+    u64 nextFresh_ = 0;
     u64 inUse_ = 0;
 };
 

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "fault/fault.hh"
@@ -20,16 +19,12 @@
 #include "farm/campaign.hh"
 #include "workload/address_stream.hh"
 
+#include "temp_path.hh"
+
 using namespace sasos;
 
 namespace
 {
-
-std::string
-tempTracePath(const char *name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
 
 /** Record the injector's full perturbation schedule for `ticks`. */
 std::string
@@ -224,7 +219,7 @@ TEST(FaultSystemTest, FaultySweepIsThreadCountIndependent)
  * all four models, clean and injected. */
 TEST(FaultOracleTest, CampaignPassesAtModerateRate)
 {
-    const std::string path = tempTracePath("fault_oracle_mid.trc");
+    const std::string path = test::uniqueTempPath("fault_oracle_mid.trc");
     const fault::CampaignResult result =
         fault::runCampaign(smallCampaign(0.02), path);
     for (const std::string &violation : result.violations)
@@ -245,7 +240,7 @@ TEST(FaultOracleTest, CampaignPassesAtModerateRate)
  * observed is exactly that claim. */
 TEST(FaultOracleTest, TransientFaultsRetryToCleanOutcome)
 {
-    const std::string path = tempTracePath("fault_oracle_hot.trc");
+    const std::string path = test::uniqueTempPath("fault_oracle_hot.trc");
     fault::CampaignConfig config = smallCampaign(0.3);
     config.faults.transientGap = 16;
     const fault::CampaignResult result = fault::runCampaign(config, path);
@@ -272,8 +267,8 @@ TEST(FaultOracleTest, TransientFaultsRetryToCleanOutcome)
 /** Same campaign seed, same verdict and numbers, run to run. */
 TEST(FaultOracleTest, CampaignIsDeterministic)
 {
-    const std::string path_a = tempTracePath("fault_oracle_a.trc");
-    const std::string path_b = tempTracePath("fault_oracle_b.trc");
+    const std::string path_a = test::uniqueTempPath("fault_oracle_a.trc");
+    const std::string path_b = test::uniqueTempPath("fault_oracle_b.trc");
     fault::CampaignConfig config = smallCampaign(0.05);
     config.references = 2'000;
     const fault::CampaignResult first = fault::runCampaign(config, path_a);

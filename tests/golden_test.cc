@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -26,6 +25,8 @@
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 #include "trace/trace.hh"
+
+#include "temp_path.hh"
 
 using namespace sasos;
 
@@ -70,8 +71,7 @@ setupGolden(core::System &sys)
 std::string
 binaryGoldenTrace()
 {
-    const std::string out =
-        (std::filesystem::temp_directory_path() / "golden.trc").string();
+    const std::string out = test::uniqueTempPath("golden.trc");
     std::ifstream in(dataPath("golden.trace.txt"));
     EXPECT_TRUE(in.good()) << "missing " << dataPath("golden.trace.txt");
     trace::TraceWriter writer(out);

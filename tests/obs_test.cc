@@ -16,7 +16,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -32,6 +31,8 @@
 #include "sasos.hh"
 #include "farm/campaign.hh"
 #include "workload/address_stream.hh"
+
+#include "temp_path.hh"
 
 using namespace sasos;
 
@@ -534,9 +535,7 @@ TEST(ObsPerfettoTest, EmittedJsonSatisfiesTraceEventSchema)
 TEST(ObsPerfettoTest, ScopedTraceWritesFileWhenEnabled)
 {
     TracingGuard guard;
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "obs_scoped.json")
-            .string();
+    const std::string path = test::uniqueTempPath("obs_scoped.json");
     Options options;
     options.set("trace", "1");
     options.set("trace_out", path);

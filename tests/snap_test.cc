@@ -36,7 +36,10 @@
 #include "scenario/scenario.hh"
 #include "snap/snapshot.hh"
 #include "farm/campaign.hh"
+#include "hw/assoc_cache.hh"
 #include "workload/address_stream.hh"
+
+#include "temp_path.hh"
 
 using namespace sasos;
 
@@ -423,9 +426,7 @@ TEST(SnapMcTest, FourCoreResumeThroughFileRoundTrip)
 
     snap::Snapshotter snapper;
     snapper.add(first);
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "snap_mc_test.snap")
-            .string();
+    const std::string path = test::uniqueTempPath("snap_mc_test.snap");
     snapper.finish().toFile(path);
 
     core::mc::McSystem resumed(config);
@@ -991,9 +992,107 @@ TEST(SnapGoldenTest, V3ImageStillRestores)
 
     EXPECT_EQ(sys.references.value(), prefix);
 
+    // Restoring rebuilds host-side state only (tag indexes, recency
+    // lists, the frame pool's implicit run), so saving again gives
+    // back the checked-in bytes.
+    snap::Snapshotter resaver;
+    resaver.add(sys);
+    resaver.add(rng);
+    EXPECT_TRUE(resaver.finish().bytes == snap::Snapshot::fromFile(path).bytes)
+        << "re-saved image differs from " << path;
+
     // The restored machine must still be a working machine.
     wl::ZipfPageStream stream(base, kPages, 0.8, kSeed);
     const core::RunResult run = sys.run(stream, 1000, rng);
     EXPECT_EQ(run.completed + run.failed, 1000u);
     EXPECT_EQ(sys.references.value(), prefix + 1000);
+}
+
+// ---------------------------------------------------------------------
+// Crafted replacement and tag images. The stamp policy's recency list
+// and the index of wide sets are rebuilt from the image, so images
+// that would make them disagree with the saved stamps or tags must be
+// rejected, not loaded.
+
+namespace
+{
+
+/** An LRU stamp image: `ways` stamps then the clock. */
+std::vector<u8>
+stampImage(const std::vector<u64> &stamps, u64 clock)
+{
+    snap::SnapWriter w;
+    w.putTag("stamps");
+    w.put64(stamps.size());
+    for (u64 stamp : stamps)
+        w.put64(stamp);
+    w.put64(clock);
+    return w.seal();
+}
+
+/** A one-set cache image whose first two ways hold tag 7. */
+std::vector<u8>
+duplicateTagImage(std::size_t ways)
+{
+    snap::SnapWriter w;
+    w.putTag("assoc");
+    w.put64(1);
+    w.put64(ways);
+    for (std::size_t way = 0; way < ways; ++way) {
+        w.putBool(true);
+        w.put64(way < 2 ? 7 : 100 + way); // tag
+        w.put64(way);                     // payload
+    }
+    w.putTag("stamps");
+    w.put64(ways);
+    for (std::size_t way = 0; way < ways; ++way)
+        w.put64(way + 1);
+    w.put64(ways);
+    return w.seal();
+}
+
+void
+loadCache(std::size_t ways, const std::vector<u8> &image)
+{
+    hw::AssocCache<u64, u64> cache(1, ways, hw::PolicyKind::Lru);
+    snap::SnapReader r(image);
+    cache.load(
+        r, [](snap::SnapReader &in) { return in.get64(); },
+        [](snap::SnapReader &in) { return in.get64(); });
+}
+
+} // namespace
+
+TEST(SnapAssocDeathTest, StampAheadOfClockIsFatal)
+{
+    for (std::size_t ways : {4u, 128u}) {
+        std::vector<u64> stamps(ways, 1);
+        stamps[ways / 2] = 50;
+        const std::vector<u8> image = stampImage(stamps, 49);
+        EXPECT_DEATH(
+            {
+                auto policy = hw::makePolicy(hw::PolicyKind::Lru, 1, ways);
+                snap::SnapReader r(image);
+                policy->load(r);
+            },
+            "stamp 50 .* ahead of the clock 49")
+            << ways << " ways";
+    }
+    // At the clock is fine.
+    std::vector<u64> stamps(128, 1);
+    stamps[3] = 49;
+    auto policy = hw::makePolicy(hw::PolicyKind::Lru, 1, 128);
+    snap::SnapReader r(stampImage(stamps, 49));
+    policy->load(r);
+    EXPECT_EQ(policy->victim(0), 0u);
+}
+
+TEST(SnapAssocDeathTest, DuplicateTagIsFatalInNarrowAndIndexedSets)
+{
+    // 4 ways takes the pairwise scan, 16 and 128 the index rebuild.
+    for (std::size_t ways : {4u, 16u, 128u}) {
+        EXPECT_DEATH(loadCache(ways, duplicateTagImage(ways)),
+                     "duplicate tag in cache set 0")
+            << ways << " ways";
+    }
 }

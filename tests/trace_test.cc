@@ -10,23 +10,14 @@
 
 #include "trace/trace.hh"
 
+#include "temp_path.hh"
+
 using namespace sasos;
 using namespace sasos::trace;
 
-namespace
-{
-
-std::string
-tempTracePath(const char *name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
-
-} // namespace
-
 TEST(TraceTest, BinaryRoundTrip)
 {
-    const std::string path = tempTracePath("roundtrip.trc");
+    const std::string path = test::uniqueTempPath("roundtrip.trc");
     std::vector<TraceRecord> records = {
         {TraceOp::Load, 1, 0x1000},
         {TraceOp::Store, 2, 0xdeadbeef000},
@@ -52,7 +43,7 @@ TEST(TraceTest, BinaryRoundTrip)
 
 TEST(TraceTest, HeaderCountPatchedOnClose)
 {
-    const std::string path = tempTracePath("count.trc");
+    const std::string path = test::uniqueTempPath("count.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x10));
@@ -84,7 +75,7 @@ TEST(TraceTest, OpNames)
 
 TEST(TraceDeathTest, RejectsNonTraceFile)
 {
-    const std::string path = tempTracePath("nottrace.bin");
+    const std::string path = test::uniqueTempPath("nottrace.bin");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         std::fputs("this is not a trace at all, sorry!!", f);
@@ -97,7 +88,7 @@ TEST(TraceDeathTest, RejectsNonTraceFile)
 
 TEST(TraceDeathTest, RejectsMissingHeader)
 {
-    const std::string path = tempTracePath("shortheader.trc");
+    const std::string path = test::uniqueTempPath("shortheader.trc");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         std::fwrite("SASTRC", 1, 6, f); // shorter than a header
@@ -110,7 +101,7 @@ TEST(TraceDeathTest, RejectsMissingHeader)
 
 TEST(TraceDeathTest, RejectsTruncatedPayload)
 {
-    const std::string path = tempTracePath("truncated.trc");
+    const std::string path = test::uniqueTempPath("truncated.trc");
     {
         TraceWriter writer(path);
         for (u64 i = 0; i < 8; ++i)
@@ -126,7 +117,7 @@ TEST(TraceDeathTest, RejectsTruncatedPayload)
 
 TEST(TraceDeathTest, RejectsTrailingGarbage)
 {
-    const std::string path = tempTracePath("trailing.trc");
+    const std::string path = test::uniqueTempPath("trailing.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x1000));
@@ -143,7 +134,7 @@ TEST(TraceDeathTest, RejectsTrailingGarbage)
 
 TEST(TraceDeathTest, RejectsOverpromisedCount)
 {
-    const std::string path = tempTracePath("overcount.trc");
+    const std::string path = test::uniqueTempPath("overcount.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x1000));
@@ -163,7 +154,7 @@ TEST(TraceDeathTest, RejectsOverpromisedCount)
 
 TEST(TraceDeathTest, RejectsBadOpcode)
 {
-    const std::string path = tempTracePath("badop.trc");
+    const std::string path = test::uniqueTempPath("badop.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x1000));
@@ -190,7 +181,7 @@ TEST(TraceDeathTest, RejectsBadOpcode)
 
 TEST(TraceTest, ReplayObserverSeesEveryReference)
 {
-    const std::string path = tempTracePath("observer.trc");
+    const std::string path = test::uniqueTempPath("observer.trc");
     core::System sys(core::SystemConfig::plbSystem());
     auto &kernel = sys.kernel();
     const os::DomainId a = kernel.createDomain("a");
@@ -220,7 +211,7 @@ TEST(TraceTest, ReplayObserverSeesEveryReference)
 
 TEST(TraceTest, ReplayDrivesTheSystem)
 {
-    const std::string path = tempTracePath("replay.trc");
+    const std::string path = test::uniqueTempPath("replay.trc");
 
     // Build a scenario on one system while recording it, then replay
     // the trace on a fresh system of a different model and check the
@@ -258,7 +249,7 @@ TEST(TraceTest, ReplayDrivesTheSystem)
 
 TEST(TraceTest, ReplayIsModelIndependentAtTheOsLevel)
 {
-    const std::string path = tempTracePath("replay2.trc");
+    const std::string path = test::uniqueTempPath("replay2.trc");
     {
         TraceWriter writer(path);
         Rng rng(77);

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "sim/random.hh"
+#include "snap/snapio.hh"
 #include "vm/address.hh"
 #include "vm/linear_page_table.hh"
 #include "vm/page_table.hh"
@@ -191,6 +196,72 @@ TEST(FrameAllocatorTest, FramesAreRecycled)
     const Pfn f = *frames.allocate();
     frames.free(f);
     EXPECT_EQ(frames.allocate(), f);
+}
+
+/**
+ * The allocator keeps never-used frames implicit. It must hand out the
+ * same frames as a plain explicit free list (frame 0 on top), and its
+ * images must be that list's bytes, through save -> load mid-stream.
+ */
+TEST(FrameAllocatorTest, MatchesExplicitFreeListThroughSaveLoad)
+{
+    constexpr u64 kFrames = 64;
+    std::vector<u64> free_list; // bottom first; back is next out
+    for (u64 f = kFrames; f > 0; --f)
+        free_list.push_back(f - 1);
+    std::vector<bool> held(kFrames, false);
+    auto model_image = [&] {
+        snap::SnapWriter w;
+        w.putTag("frames");
+        w.put64(kFrames);
+        for (u64 byte = 0; byte < kFrames / 8; ++byte) {
+            u8 bits = 0;
+            for (u64 bit = 0; bit < 8; ++bit)
+                bits |= held[byte * 8 + bit] ? u8(1u << bit) : u8(0);
+            w.put8(bits);
+        }
+        w.put64(kFrames - free_list.size());
+        w.put64(free_list.size());
+        for (u64 f : free_list)
+            w.put64(f);
+        for (u64 f = 0; f < kFrames; ++f) {
+            if (held[f])
+                w.put32(1);
+        }
+        return w.seal();
+    };
+
+    auto frames = std::make_unique<FrameAllocator>(kFrames);
+    Rng rng(31);
+    for (int op = 0; op < 3000; ++op) {
+        const u64 roll = rng.nextBelow(100);
+        if (roll < 55) {
+            const auto got = frames->allocate();
+            ASSERT_EQ(got.has_value(), !free_list.empty()) << "op " << op;
+            if (got) {
+                ASSERT_EQ(got->number(), free_list.back()) << "op " << op;
+                free_list.pop_back();
+                held[got->number()] = true;
+            }
+        } else if (roll < 97) {
+            const u64 f = rng.nextBelow(kFrames);
+            if (!held[f])
+                continue;
+            frames->free(Pfn(f));
+            free_list.push_back(f);
+            held[f] = false;
+        } else {
+            snap::SnapWriter w;
+            frames->save(w);
+            const std::vector<u8> image = w.seal();
+            ASSERT_EQ(image, model_image()) << "op " << op;
+            frames = std::make_unique<FrameAllocator>(kFrames);
+            snap::SnapReader r(image);
+            frames->load(r);
+            r.finish();
+        }
+        ASSERT_EQ(frames->inUse(), kFrames - free_list.size());
+    }
 }
 
 TEST(FrameAllocatorDeathTest, DoubleFreePanics)
