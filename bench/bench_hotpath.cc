@@ -1,27 +1,28 @@
 /**
  * @file
- * The hot-path microbench: per-model accessBatch throughput in
- * isolation -- one System, one stream, no pool -- next to the
- * per-call access() path over the same references.
+ * The hot-path microbench: per-model System::run throughput in
+ * isolation -- one System, one stream, no pool -- next to per-call
+ * access() over the same references with the same-page memo dropped
+ * before each one.
  *
  * Two things come out of each (model x stream) row:
  *
- *  - host throughput (refs/sec) and simulated cycles/ref for the
- *    batched path, the number the sweep engine's wall-clock stands
- *    on, with the per-call path alongside for the A/B speedup;
- *  - a bit-identity verdict: the batched run's full stats dump and
- *    cycle account must equal the per-call run's, reference for
+ *  - host throughput (refs/sec) and simulated cycles/ref for
+ *    System::run, the number the sweep engine's wall-clock stands on,
+ *    with the memo-free per-call rate alongside;
+ *  - a bit-identity verdict: the run's full stats dump and cycle
+ *    account must equal the memo-free per-call run's, reference for
  *    reference. A MISMATCH fails the bench (nonzero exit), so this
- *    doubles as the direct batched-vs-per-call oracle.
+ *    doubles as the direct oracle for the memo's replays.
  *
- * Emits BENCH_hotpath.json:
+ * Emits BENCH_hotpath.json ("batched" names the System::run side):
  *
  *   { "bench": "hotpath", "reps": R,
  *     "rows": [ { "model", "workload", "references", "simCycles",
  *                 "simCyclesPerRef", "batchedRefsPerSec",
- *                 "perCallRefsPerSec", "speedup", "identical" } ],
+ *                 "perCallRefsPerSec", "identical" } ],
  *     "totals": { "references", "batchedRefsPerSec",
- *                 "perCallRefsPerSec", "speedup" } }
+ *                 "perCallRefsPerSec" } }
  *
  * Keys: refs= (default 200000), pages=, seed=, reps= (best-of, wall
  * clock only; default 3), json=.
@@ -43,7 +44,7 @@ struct HotpathRow
     std::string workload;
     u64 references = 0;
     u64 simCycles = 0;
-    double batchedSeconds = 0.0;
+    double runSeconds = 0.0;
     double perCallSeconds = 0.0;
     bool identical = true;
 };
@@ -66,9 +67,9 @@ statsOf(core::System &sys)
     return dump.str();
 }
 
-/** One (model x stream) A/B: identical references through the batched
- * System::run and through a per-call access() loop, best-of-`reps`
- * wall clock each, one bit-identity comparison. */
+/** One (model x stream) row: identical references through
+ * System::run and through a memo-free per-call access() loop,
+ * best-of-`reps` wall clock each, one bit-identity comparison. */
 HotpathRow
 measure(const bench::ModelUnderTest &model, const std::string &workload,
         const farm::StreamFactory &factory, u64 refs, u64 pages, u64 seed,
@@ -79,7 +80,7 @@ measure(const bench::ModelUnderTest &model, const std::string &workload,
     row.workload = workload;
     row.references = refs;
 
-    std::string batched_stats;
+    std::string run_stats;
     std::string per_call_stats;
     for (u64 rep = 0; rep < reps; ++rep) {
         // Fresh system per rep: every rep times the same cold-start
@@ -93,11 +94,11 @@ measure(const bench::ModelUnderTest &model, const std::string &workload,
         const auto stop = std::chrono::steady_clock::now();
         const double secs =
             std::chrono::duration<double>(stop - start).count();
-        if (rep == 0 || secs < row.batchedSeconds)
-            row.batchedSeconds = secs;
+        if (rep == 0 || secs < row.runSeconds)
+            row.runSeconds = secs;
         if (rep == 0) {
             row.simCycles = sys.cycles().count();
-            batched_stats = statsOf(sys);
+            run_stats = statsOf(sys);
         }
     }
     for (u64 rep = 0; rep < reps; ++rep) {
@@ -106,8 +107,10 @@ measure(const bench::ModelUnderTest &model, const std::string &workload,
         Rng rng(seed);
         auto stream = factory(base, pages, seed);
         const auto start = std::chrono::steady_clock::now();
-        for (u64 i = 0; i < refs; ++i)
+        for (u64 i = 0; i < refs; ++i) {
+            sys.model().dropMemo();
             sys.load(stream->next(rng));
+        }
         const auto stop = std::chrono::steady_clock::now();
         const double secs =
             std::chrono::duration<double>(stop - start).count();
@@ -116,7 +119,7 @@ measure(const bench::ModelUnderTest &model, const std::string &workload,
         if (rep == 0)
             per_call_stats = statsOf(sys);
     }
-    row.identical = batched_stats == per_call_stats;
+    row.identical = run_stats == per_call_stats;
     return row;
 }
 
@@ -131,11 +134,11 @@ runHotpath(const Options &options)
         options.getString("json", "BENCH_hotpath.json");
 
     bench::printHeader(
-        "Hot path: batched accessBatch vs per-call access",
-        "Same references through System::run (SoA probe arrays, "
-        "same-page run coalescing, batch-accumulated stats) and "
-        "through an access() call per reference. Simulated results "
-        "must be bit-identical; the speedup is pure host time.");
+        "Hot path: System::run vs per-call access",
+        "Same references through System::run (the same-page memo "
+        "live) and through an access() call per reference with the "
+        "memo dropped before each. Simulated results must be "
+        "bit-identical.");
 
     std::vector<HotpathRow> rows;
     bool identical = true;
@@ -146,48 +149,46 @@ runHotpath(const Options &options)
             if (!rows.back().identical) {
                 identical = false;
                 std::cout << "MISMATCH: " << model.label << "/" << name
-                          << " batched stats differ from per-call\n";
+                          << " run stats differ from per-call\n";
             }
         }
     }
 
-    TextTable table({"model", "workload", "cycles/ref", "batched Mrefs/s",
-                     "per-call Mrefs/s", "speedup"});
+    TextTable table({"model", "workload", "cycles/ref", "run Mrefs/s",
+                     "per-call Mrefs/s"});
     std::string last_model;
-    double batched_secs = 0.0;
+    double run_secs = 0.0;
     double per_call_secs = 0.0;
     u64 total_refs = 0;
     for (const HotpathRow &row : rows) {
-        const double batched =
-            bench::refsPerSecond(row.references, row.batchedSeconds);
-        const double per_call =
-            bench::refsPerSecond(row.references, row.perCallSeconds);
         table.addRow(
             {row.model == last_model ? "" : row.model, row.workload,
              TextTable::num(
                  bench::cyclesPerRef(row.simCycles, row.references), 2),
-             TextTable::num(batched / 1e6, 2),
-             TextTable::num(per_call / 1e6, 2),
-             bench::normalized(batched, per_call)});
+             TextTable::num(
+                 bench::refsPerSecond(row.references, row.runSeconds) /
+                     1e6,
+                 2),
+             TextTable::num(bench::refsPerSecond(row.references,
+                                                 row.perCallSeconds) /
+                                1e6,
+                            2)});
         last_model = row.model;
-        batched_secs += row.batchedSeconds;
+        run_secs += row.runSeconds;
         per_call_secs += row.perCallSeconds;
         total_refs += row.references;
     }
     table.print(std::cout);
 
-    const double batched_total =
-        bench::refsPerSecond(total_refs, batched_secs);
+    const double run_total = bench::refsPerSecond(total_refs, run_secs);
     const double per_call_total =
         bench::refsPerSecond(total_refs, per_call_secs);
     std::cout << "\nrows=" << rows.size() << " refs/row=" << refs
-              << " reps=" << reps << " batched="
-              << TextTable::num(batched_total / 1e6, 2)
+              << " reps=" << reps
+              << " run=" << TextTable::num(run_total / 1e6, 2)
               << " Mrefs/s per-call="
               << TextTable::num(per_call_total / 1e6, 2)
-              << " Mrefs/s speedup="
-              << bench::normalized(batched_total, per_call_total)
-              << " results "
+              << " Mrefs/s results "
               << (identical ? "bit-identical" : "MISMATCH") << "\n";
 
     std::ofstream os(json_path);
@@ -206,15 +207,10 @@ runHotpath(const Options &options)
         json.member("simCyclesPerRef",
                     bench::cyclesPerRef(row.simCycles, row.references));
         json.member("batchedRefsPerSec",
-                    bench::refsPerSecond(row.references,
-                                         row.batchedSeconds));
+                    bench::refsPerSecond(row.references, row.runSeconds));
         json.member("perCallRefsPerSec",
                     bench::refsPerSecond(row.references,
                                          row.perCallSeconds));
-        json.member("speedup",
-                    row.batchedSeconds > 0.0
-                        ? row.perCallSeconds / row.batchedSeconds
-                        : 0.0);
         json.member("identical", row.identical);
         json.endObject();
     }
@@ -222,10 +218,8 @@ runHotpath(const Options &options)
     json.key("totals");
     json.beginObject();
     json.member("references", total_refs);
-    json.member("batchedRefsPerSec", batched_total);
+    json.member("batchedRefsPerSec", run_total);
     json.member("perCallRefsPerSec", per_call_total);
-    json.member("speedup",
-                batched_secs > 0.0 ? per_call_secs / batched_secs : 0.0);
     json.endObject();
     json.endObject();
     os << "\n";

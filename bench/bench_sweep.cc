@@ -84,7 +84,7 @@ runSweep(const Options &options)
     bench::printHeader(
         "Parallel sweep engine: models x streams x seeds",
         "Each cell is one self-contained System; the pool runs cells "
-        "concurrently and the batched issue loop runs references "
+        "concurrently and System::run issues the references "
         "within a cell. Simulated results are bit-identical to the "
         "serial run.");
 
@@ -226,10 +226,10 @@ runSweep(const Options &options)
     return identical ? 0 : 1;
 }
 
-/** Host time of the batched fast path vs per-call access(): the same
- * references through System::run and through a access() loop. */
+/** Host time of System::run vs per-call access(): the same references
+ * through System::run and through an access() loop. */
 void
-BM_BatchedRun(benchmark::State &state, core::ModelKind kind)
+BM_SystemRun(benchmark::State &state, core::ModelKind kind)
 {
     core::System sys(core::SystemConfig::forModel(kind));
     const os::DomainId app = sys.kernel().createDomain("app");
@@ -271,11 +271,11 @@ BM_PerCallAccess(benchmark::State &state, core::ModelKind kind)
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_BatchedRun, plb, core::ModelKind::Plb);
+BENCHMARK_CAPTURE(BM_SystemRun, plb, core::ModelKind::Plb);
 BENCHMARK_CAPTURE(BM_PerCallAccess, plb, core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_BatchedRun, pagegroup, core::ModelKind::PageGroup);
+BENCHMARK_CAPTURE(BM_SystemRun, pagegroup, core::ModelKind::PageGroup);
 BENCHMARK_CAPTURE(BM_PerCallAccess, pagegroup, core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_BatchedRun, conventional, core::ModelKind::Conventional);
+BENCHMARK_CAPTURE(BM_SystemRun, conventional, core::ModelKind::Conventional);
 BENCHMARK_CAPTURE(BM_PerCallAccess, conventional,
                   core::ModelKind::Conventional);
 

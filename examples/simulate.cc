@@ -10,7 +10,7 @@
  * Run: ./simulate workload=<name> [model=plb|pg|conv] [key=value ...]
  *
  * Workloads: rpc, churn, sharing, gc, dvm, txvm, checkpoint, comppage,
- * stream (a raw reference stream through the batched fast path;
+ * stream (a raw reference stream through System::run;
  * stream=seq|uniform|zipf|ws, refs=, pages=).
  * Common keys: model=, cacheKB=, lineBytes=, cacheOrg=, tlbEntries=,
  * plbEntries=, pgEntries=, eagerPg=, purgeOnSwitch=, flushOnSwitch=,
@@ -160,8 +160,8 @@ runWorkload(const std::string &name, core::System &sys,
         return 0;
     }
     if (name == "stream") {
-        // A raw reference stream through the batched System::run fast
-        // path, with host-side throughput (refs/sec) reported.
+        // A raw reference stream through System::run, with host-side
+        // throughput (refs/sec) reported.
         const u64 pages = options.getU64("pages", 256);
         const u64 refs = options.getU64("refs", 1'000'000);
         const u64 seed = options.getU64("wseed", 1);

@@ -1,6 +1,5 @@
 #include "core/conventional_system.hh"
 
-#include "core/system.hh" // driveBatch
 #include "obs/tracer.hh"
 #include "sim/logging.hh"
 #include "snap/snapio.hh"
@@ -44,6 +43,8 @@ ConventionalSystem::tagOf(os::DomainId domain) const
 bool
 ConventionalSystem::applyPerturbation(const fault::Perturbation &p)
 {
+    // Evictions and flushes below may take the memoized entry.
+    memo_.valid = false;
     Rng &rng = injector_->rng();
     // The combined TLB holds protection and translation together, so
     // both eviction flavors land on it.
@@ -79,10 +80,6 @@ os::AccessResult
 ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
                            vm::AccessType type)
 {
-    // A per-call access (kernel fault-retry excursions included) may
-    // insert or evict behind the coalescing memo; drop it.
-    memo_.valid = false;
-
     if (injector_ != nullptr) {
         const fault::Perturbation p = injector_->tick();
         if (p.any() && applyPerturbation(p))
@@ -96,7 +93,20 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
     charge(CostCategory::Reference, config_.costs.l1Hit);
     charge(CostCategory::Reference, config_.costs.tlbLookup);
 
-    hw::TlbEntry *entry = tlb_.lookup(vpn, asid);
+    hw::TlbEntry *entry;
+    if (memo_.valid && memo_.domain == domain &&
+        memo_.vpn == vpn.number()) {
+        // The previous reference hit this page's entry: count and
+        // touch it exactly as a probe would, without re-probing.
+        entry = memo_.entry;
+        tlb_.replayHit(memo_.loc);
+    } else {
+        // Memoize a hit; a miss drops the memo before the refill below
+        // may evict the entry it points at.
+        hw::AssocLoc loc;
+        entry = tlb_.lookup(vpn, asid, &loc);
+        memo_ = {entry != nullptr, domain, vpn.number(), entry, loc};
+    }
     if (entry == nullptr) {
         SASOS_OBS_EVENT(obs::EventKind::TlbMiss, account_.total().count(),
                         va.raw(), asid);
@@ -148,99 +158,11 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
     return {true, os::FaultKind::None};
 }
 
-os::BatchOutcome
-ConventionalSystem::accessBatch(os::DomainId domain, const vm::VAddr *vas,
-                                u64 n, vm::AccessType type)
-{
-    return driveBatch(*this, domain, vas, n, type);
-}
-
-os::AccessResult
-ConventionalSystem::accessFast(os::DomainId domain, vm::VAddr va,
-                               vm::AccessType type, BatchAccum &acc)
-{
-    const vm::Vpn vpn = vm::pageOf(va);
-    const bool store = type == vm::AccessType::Store;
-    const hw::DomainId asid = tagOf(domain);
-
-    acc.refCycles += config_.costs.l1Hit;
-    acc.refCycles += config_.costs.tlbLookup;
-
-    hw::TlbEntry *entry;
-    if (memo_.valid && memo_.domain == domain &&
-        memo_.vpn == vpn.number()) {
-        // The previous reference resolved this page: replay exactly
-        // what its TLB hit would do again -- the stats deltas and the
-        // replacement touch -- without re-scanning the set.
-        entry = memo_.entry;
-        ++acc.tlbLookups;
-        ++acc.tlbHits;
-        tlb_.touchHit(memo_.loc);
-    } else {
-        // From here on the memo describes a stale reference, and the
-        // refill below may evict the entry it points at.
-        memo_.valid = false;
-        hw::AssocLoc loc;
-        entry = tlb_.lookup(vpn, asid, &loc);
-        if (entry == nullptr) {
-            charge(CostCategory::Refill, config_.costs.tlbRefill);
-            const vm::Translation *translation =
-                state_.pageTable.lookup(vpn);
-            if (translation == nullptr) {
-                ++translationFaultsSeen;
-                return {false, os::FaultKind::Translation};
-            }
-            hw::TlbEntry fresh;
-            fresh.pfn = translation->pfn;
-            fresh.asid = asid;
-            fresh.rights = state_.effectiveRights(domain, vpn);
-            entry = &tlb_.insert(vpn, fresh);
-            // Only hits memoize; the next same-page reference does.
-        } else {
-            memo_.valid = true;
-            memo_.domain = domain;
-            memo_.vpn = vpn.number();
-            memo_.entry = entry;
-            memo_.loc = loc;
-        }
-    }
-
-    if (!vm::includes(entry->rights, vm::requiredRight(type))) {
-        ++protectionDenies;
-        return {false, os::FaultKind::Protection};
-    }
-
-    const vm::PAddr pa = vm::translate(va, entry->pfn);
-    if (!mem_.l1Access(va, pa, store)) {
-        if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-            if (victim->dirty)
-                charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    entry->referenced = true;
-    if (store)
-        entry->dirty = true;
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
-    return {true, os::FaultKind::None};
-}
-
-void
-ConventionalSystem::flushBatch(BatchAccum &acc)
-{
-    account_.charge(CostCategory::Reference, acc.refCycles);
-    tlb_.lookups += acc.tlbLookups;
-    tlb_.hits += acc.tlbHits;
-    acc = {};
-}
-
 void
 ConventionalSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
                              vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     // Entries fault in lazily, one per (domain, page).
@@ -252,7 +174,7 @@ ConventionalSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
 void
 ConventionalSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const auto result =
@@ -266,7 +188,7 @@ void
 ConventionalSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
                                     vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     if (config_.purgeTlbOnSwitch) {
@@ -289,7 +211,7 @@ ConventionalSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 void
 ConventionalSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)rights;
@@ -303,7 +225,7 @@ ConventionalSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 void
 ConventionalSystem::onClearPageRightsAllDomains(vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const u64 dropped = tlb_.purgePage(vpn);
@@ -317,7 +239,7 @@ ConventionalSystem::onSetSegmentRights(os::DomainId domain,
                                        const vm::Segment &seg,
                                        vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)rights;
@@ -331,7 +253,7 @@ ConventionalSystem::onSetSegmentRights(os::DomainId domain,
 void
 ConventionalSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)from;
@@ -360,7 +282,7 @@ ConventionalSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 void
 ConventionalSystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)vpn;
@@ -370,7 +292,7 @@ ConventionalSystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 void
 ConventionalSystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const u64 dropped = tlb_.purgePage(vpn);
@@ -382,7 +304,7 @@ ConventionalSystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 void
 ConventionalSystem::onDomainDestroyed(os::DomainId domain)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     if (config_.purgeTlbOnSwitch)
@@ -396,7 +318,7 @@ ConventionalSystem::onDomainDestroyed(os::DomainId domain)
 void
 ConventionalSystem::onSegmentDestroyed(const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const auto result =
@@ -409,7 +331,7 @@ ConventionalSystem::onSegmentDestroyed(const vm::Segment &seg)
 bool
 ConventionalSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     // Stale per-domain entry; drop it so the refill reads the tables.
@@ -435,7 +357,7 @@ ConventionalSystem::save(snap::SnapWriter &w) const
 void
 ConventionalSystem::load(snap::SnapReader &r)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     r.expectTag("convmodel");

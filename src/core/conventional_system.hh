@@ -48,31 +48,8 @@ class ConventionalSystem : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    os::BatchOutcome accessBatch(os::DomainId domain, const vm::VAddr *vas,
-                                 u64 n, vm::AccessType type) override;
-
-    /** @name Batched fast path (core::driveBatch)
-     * accessFast() is access() with the hit path's Scalar bumps and
-     * charge() calls deferred into a batch-local accumulator, plus a
-     * one-entry memo that lets consecutive references to the same
-     * (domain, page) replay the previous TLB resolution -- stats
-     * deltas and replacement touch included -- without re-probing.
-     * flushBatch() folds the accumulator into the real stats; the
-     * driver calls it once per chunk and before every faulting return.
-     */
-    /// @{
-    struct BatchAccum
-    {
-        Cycles refCycles{};
-        u64 tlbLookups = 0;
-        u64 tlbHits = 0;
-    };
-
-    os::AccessResult accessFast(os::DomainId domain, vm::VAddr va,
-                                vm::AccessType type, BatchAccum &acc);
-    void flushBatch(BatchAccum &acc);
-    void invalidateBatchMemo() override { memo_.valid = false; }
-    /// @}
+    /** Drop the same-page memo (see ProtectionModel::dropMemo). */
+    void dropMemo() override { memo_.valid = false; }
 
     void onAttach(os::DomainId domain, const vm::Segment &seg,
                   vm::Access rights) override;
@@ -121,13 +98,13 @@ class ConventionalSystem : public os::ProtectionModel
     hw::DomainId tagOf(os::DomainId domain) const;
 
     /**
-     * The previous fast-path reference's TLB resolution. Valid only
-     * between two consecutive accessFast() calls: every full-path
-     * resolution overwrites or clears it, every maintenance hook and
-     * per-call access() clears it, so a match guarantees `entry` is
+     * The same-page memo: the previous reference's TLB hit. Every
+     * path that may insert, evict or rewrite a TLB entry drops it
+     * first (a probe miss, every maintenance hook, injected
+     * perturbations and dropMemo()), so a match guarantees `entry` is
      * still the live entry that resolved this (domain, page).
      */
-    struct BatchMemo
+    struct SamePageMemo
     {
         bool valid = false;
         os::DomainId domain = 0;
@@ -141,7 +118,7 @@ class ConventionalSystem : public os::ProtectionModel
     CycleAccount &account_;
     hw::Tlb tlb_;
     MemoryPath mem_;
-    BatchMemo memo_;
+    SamePageMemo memo_;
 };
 
 } // namespace sasos::core

@@ -508,9 +508,9 @@ void
 McSystem::processAck(Core &c, const RemoteOp &op, bool charge_dispatch)
 {
     const u64 stale = purgeStale(c, op);
-    // The purge went straight at the core's structures; its batch memo
-    // may now point at a dead slot.
-    c.model->invalidateBatchMemo();
+    // The purge went straight at the core's structures; its same-page
+    // memo may now point at a dead slot.
+    c.model->dropMemo();
     staleEntriesPurged += stale;
     ackStaleEntries.sample(stale);
     if (charge_dispatch) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/system.hh" // driveBatch
 #include "obs/tracer.hh"
 #include "sim/logging.hh"
 #include "snap/snapio.hh"
@@ -35,7 +34,7 @@ PageGroupSystem::PageGroupSystem(const SystemConfig &config,
     SASOS_ASSERT(config.tlb.kind == hw::TlbKind::PageGroup,
                  "the page-group system uses a page-group TLB");
     // A freed AID may be recycled for a group with different members;
-    // any PID still cached for it must go (and with it any coalescing
+    // any PID still cached for it must go (and with it any same-page
     // memo that could be replaying the stale group).
     manager_.onGroupFreed = [this](os::GroupId aid) {
         memo_.valid = false;
@@ -52,6 +51,8 @@ PageGroupSystem::charge(CostCategory category, Cycles cycles)
 bool
 PageGroupSystem::applyPerturbation(const fault::Perturbation &p)
 {
+    // Evictions and flushes below may take the memoized entries.
+    memo_.valid = false;
     Rng &rng = injector_->rng();
     if (p.evictProtection) {
         pgCache_.evictOne(rng);
@@ -85,10 +86,6 @@ os::AccessResult
 PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
                         vm::AccessType type)
 {
-    // A per-call access (kernel fault-retry excursions included) may
-    // insert or evict behind the coalescing memo; drop it.
-    memo_.valid = false;
-
     if (injector_ != nullptr) {
         const fault::Perturbation p = injector_->tick();
         if (p.any() && applyPerturbation(p)) {
@@ -108,8 +105,22 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
     charge(CostCategory::Reference, config_.costs.l1Hit);
     charge(CostCategory::Reference, config_.costs.tlbLookup);
 
-    // --- Combined TLB: translation + AID + group rights.
-    hw::TlbEntry *entry = tlb_.lookup(vpn);
+    // --- Combined TLB: translation + AID + group rights. A same-page
+    // run replays the previous reference's TLB and page-group hits
+    // from the memo, counted and touched exactly as the probes would.
+    const bool memo_hit = memo_.valid && memo_.domain == domain &&
+                          memo_.vpn == vpn.number();
+    hw::AssocLoc tlb_loc;
+    hw::TlbEntry *entry;
+    if (memo_hit) {
+        entry = memo_.entry;
+        tlb_.replayHit(memo_.tlbLoc);
+    } else {
+        // The refills below may evict the entries the memo points at.
+        memo_.valid = false;
+        entry = tlb_.lookup(vpn, 0, &tlb_loc);
+    }
+    const bool tlb_hit = entry != nullptr;
     if (entry == nullptr) {
         SASOS_OBS_EVENT(obs::EventKind::TlbMiss, account_.total().count(),
                         va.raw(), domain);
@@ -133,11 +144,25 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
     }
 
     // --- Page-group check, dependent on the TLB output.
+    hw::AssocLoc pg_loc;
+    std::optional<hw::PidMatch> pid;
+    if (memo_hit) {
+        pgCache_.replayHit(entry->aid, memo_.pgLoc);
+        pid = hw::PidMatch{memo_.writeDisable};
+    } else {
+        pid = pgCache_.lookup(entry->aid, &pg_loc);
+    }
     bool write_disable = false;
-    if (auto pid = pgCache_.lookup(entry->aid)) {
+    if (pid) {
         write_disable = pid->writeDisable;
         SASOS_OBS_EVENT(obs::EventKind::PgCacheHit,
                         account_.total().count(), va.raw(), entry->aid);
+        // Fills leave their ways unknown, so only a reference that hit
+        // both structures memoizes; the next same-page one replays.
+        if (tlb_hit && !memo_hit) {
+            memo_ = {true, domain, vpn.number(), entry, tlb_loc, pg_loc,
+                     write_disable};
+        }
     } else if (manager_.domainHasGroup(domain, entry->aid)) {
         // Lightweight kernel refill of the page-group cache.
         SASOS_OBS_EVENT(obs::EventKind::PgCacheMiss,
@@ -189,142 +214,10 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
     return {true, os::FaultKind::None};
 }
 
-os::BatchOutcome
-PageGroupSystem::accessBatch(os::DomainId domain, const vm::VAddr *vas,
-                             u64 n, vm::AccessType type)
-{
-    return driveBatch(*this, domain, vas, n, type);
-}
-
-os::AccessResult
-PageGroupSystem::accessFast(os::DomainId domain, vm::VAddr va,
-                            vm::AccessType type, BatchAccum &acc)
-{
-    const vm::Vpn vpn = vm::pageOf(va);
-    const bool store = type == vm::AccessType::Store;
-    current_ = domain;
-
-    acc.refCycles += config_.costs.l1Hit;
-    acc.refCycles += config_.costs.tlbLookup;
-
-    hw::TlbEntry *entry;
-    bool write_disable;
-    if (memo_.valid && memo_.domain == domain &&
-        memo_.vpn == vpn.number()) {
-        // The previous reference resolved this page: replay exactly
-        // what its TLB hit and page-group check would do again -- the
-        // stats deltas and both replacement touches -- without
-        // re-probing either structure.
-        entry = memo_.entry;
-        ++acc.tlbLookups;
-        ++acc.tlbHits;
-        tlb_.touchHit(memo_.tlbLoc);
-        ++acc.pgLookups;
-        if (memo_.aidGlobal) {
-            ++acc.pgGlobalHits;
-        } else {
-            ++acc.pgHits;
-            pgCache_.touchHit(memo_.pgLoc);
-        }
-        write_disable = memo_.writeDisable;
-    } else {
-        // From here on the memo describes a stale reference, and the
-        // refills below may evict the entries it points at.
-        memo_.valid = false;
-
-        // --- Combined TLB: translation + AID + group rights.
-        hw::AssocLoc tlb_loc;
-        bool tlb_hit = true;
-        entry = tlb_.lookup(vpn, 0, &tlb_loc);
-        if (entry == nullptr) {
-            tlb_hit = false;
-            charge(CostCategory::Refill, config_.costs.tlbRefill);
-            const vm::Translation *translation =
-                state_.pageTable.lookup(vpn);
-            if (translation == nullptr) {
-                ++translationFaultsSeen;
-                return {false, os::FaultKind::Translation};
-            }
-            const os::PageGroupState st = manager_.pageState(vpn);
-            hw::TlbEntry fresh;
-            fresh.pfn = translation->pfn;
-            fresh.aid = st.aid;
-            fresh.rights = st.rights;
-            entry = &tlb_.insert(vpn, fresh);
-        }
-
-        // --- Page-group check, dependent on the TLB output.
-        hw::AssocLoc pg_loc;
-        bool pg_memoizable = false;
-        if (auto pid = pgCache_.lookup(entry->aid, &pg_loc)) {
-            write_disable = pid->writeDisable;
-            pg_memoizable = true;
-        } else if (manager_.domainHasGroup(domain, entry->aid)) {
-            ++pgCacheRefills;
-            charge(CostCategory::Refill, config_.costs.pgCacheRefill);
-            write_disable = manager_.writeDisabled(domain, entry->aid);
-            // A fill's way is unknown without re-probing, so this
-            // reference does not memoize; the next same-page one does.
-            pgCache_.insert(entry->aid, write_disable);
-        } else {
-            ++protectionDenies;
-            return {false, os::FaultKind::Protection};
-        }
-
-        if (tlb_hit && pg_memoizable) {
-            memo_.valid = true;
-            memo_.domain = domain;
-            memo_.vpn = vpn.number();
-            memo_.entry = entry;
-            memo_.tlbLoc = tlb_loc;
-            memo_.aidGlobal = entry->aid == hw::kGlobalGroup;
-            memo_.pgLoc = pg_loc;
-            memo_.writeDisable = write_disable;
-        }
-    }
-
-    vm::Access rights = entry->rights;
-    if (write_disable)
-        rights = rights & ~vm::Access::Write;
-    if (!vm::includes(rights, vm::requiredRight(type))) {
-        ++protectionDenies;
-        return {false, os::FaultKind::Protection};
-    }
-
-    // --- Data cache (physical tag from the TLB's translation).
-    const vm::PAddr pa = vm::translate(va, entry->pfn);
-    if (!mem_.l1Access(va, pa, store)) {
-        if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-            if (victim->dirty)
-                charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    entry->referenced = true;
-    if (store)
-        entry->dirty = true;
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
-    return {true, os::FaultKind::None};
-}
-
-void
-PageGroupSystem::flushBatch(BatchAccum &acc)
-{
-    account_.charge(CostCategory::Reference, acc.refCycles);
-    tlb_.lookups += acc.tlbLookups;
-    tlb_.hits += acc.tlbHits;
-    pgCache_.lookups += acc.pgLookups;
-    pgCache_.hits += acc.pgHits;
-    pgCache_.globalHits += acc.pgGlobalHits;
-    acc = {};
-}
-
 void
 PageGroupSystem::syncTlbEntry(vm::Vpn vpn, const os::PageGroupState &st)
 {
-    // The rewritten entry may be the one the coalescing memo replays.
+    // The rewritten entry may be the one the same-page memo replays.
     memo_.valid = false;
     if (tlb_.setGroup(vpn, st.aid, st.rights)) {
         ++groupMoves;

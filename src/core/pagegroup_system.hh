@@ -46,35 +46,8 @@ class PageGroupSystem : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    os::BatchOutcome accessBatch(os::DomainId domain, const vm::VAddr *vas,
-                                 u64 n, vm::AccessType type) override;
-
-    /** @name Batched fast path (core::driveBatch)
-     * accessFast() is access() with the hit path's Scalar bumps and
-     * charge() calls deferred into a batch-local accumulator, plus a
-     * one-entry memo that lets consecutive references to the same
-     * (domain, page) replay the previous TLB + page-group resolution
-     * -- stats deltas and replacement touches included -- without
-     * re-probing either structure. flushBatch() folds the accumulator
-     * into the real stats; the driver calls it once per chunk and
-     * before every faulting return.
-     */
-    /// @{
-    struct BatchAccum
-    {
-        Cycles refCycles{};
-        u64 tlbLookups = 0;
-        u64 tlbHits = 0;
-        u64 pgLookups = 0;
-        u64 pgHits = 0;
-        u64 pgGlobalHits = 0;
-    };
-
-    os::AccessResult accessFast(os::DomainId domain, vm::VAddr va,
-                                vm::AccessType type, BatchAccum &acc);
-    void flushBatch(BatchAccum &acc);
-    void invalidateBatchMemo() override { memo_.valid = false; }
-    /// @}
+    /** Drop the same-page memo (see ProtectionModel::dropMemo). */
+    void dropMemo() override { memo_.valid = false; }
 
     void onAttach(os::DomainId domain, const vm::Segment &seg,
                   vm::Access rights) override;
@@ -137,24 +110,23 @@ class PageGroupSystem : public os::ProtectionModel
     std::vector<vm::Vpn> regroupCandidates(const vm::Segment &seg) const;
 
     /**
-     * The previous fast-path reference's TLB + page-group resolution.
-     * Valid only between two consecutive accessFast() calls: every
-     * full-path resolution overwrites or clears it, every maintenance
-     * hook and per-call access() clears it, so a match guarantees
-     * `entry` and both replacement locations are still live. The TLB
-     * entry pointer is stable because the backing payload vector never
-     * reallocates and slot reuse only happens on inserts, which clear
-     * the memo first.
+     * The same-page memo: the previous reference's TLB and page-group
+     * hits. Every path that may insert, evict or rewrite a TLB or
+     * page-group entry drops it first (a probe miss, every
+     * maintenance hook, a freed group, injected perturbations and
+     * dropMemo()), so a match guarantees `entry` and both replacement
+     * locations are still live. The TLB entry pointer is stable
+     * because the backing payload vector never reallocates and slot
+     * reuse only happens on inserts.
      */
-    struct BatchMemo
+    struct SamePageMemo
     {
         bool valid = false;
         os::DomainId domain = 0;
         u64 vpn = 0;
         hw::TlbEntry *entry = nullptr;
         hw::AssocLoc tlbLoc{};
-        /** Group 0: the check never probes the page-group array. */
-        bool aidGlobal = false;
+        /** Unused for group 0, whose check never probes the array. */
         hw::AssocLoc pgLoc{};
         bool writeDisable = false;
     };
@@ -166,7 +138,7 @@ class PageGroupSystem : public os::ProtectionModel
     hw::Tlb tlb_;
     hw::PageGroupCache pgCache_;
     MemoryPath mem_;
-    BatchMemo memo_;
+    SamePageMemo memo_;
     /** Last Rights-field union seen per segment's default group. */
     std::map<vm::SegmentId, vm::Access> lastUnion_;
 };

@@ -1,6 +1,5 @@
 #include "core/pkey_system.hh"
 
-#include "core/system.hh" // driveBatch
 #include "obs/tracer.hh"
 #include "sim/logging.hh"
 #include "snap/snapio.hh"
@@ -45,13 +44,15 @@ PkeySystem::charge(CostCategory category, Cycles cycles)
 bool
 PkeySystem::applyPerturbation(const fault::Perturbation &p)
 {
+    // Evictions and flushes below may take the memoized entries.
+    memo_.valid = false;
     Rng &rng = injector_->rng();
     // Protection state lives in the key-permission register file, so
     // the protection eviction flavor lands there; rights are rederived
     // from canonical state on the next miss.
     if (p.evictProtection) {
         keyCache_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::PgCacheEvict,
+        SASOS_OBS_EVENT(obs::EventKind::KeyEvict,
                         account_.total().count(), 0, 1);
     }
     if (p.evictTranslation) {
@@ -212,10 +213,6 @@ PkeySystem::boundKeys() const
 os::AccessResult
 PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
 {
-    // A per-call access (kernel fault-retry excursions included) may
-    // insert or evict behind the coalescing memo; drop it.
-    memo_.valid = false;
-
     if (injector_ != nullptr) {
         const fault::Perturbation p = injector_->tick();
         if (p.any() && applyPerturbation(p))
@@ -228,7 +225,22 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
     charge(CostCategory::Reference, config_.costs.l1Hit);
     charge(CostCategory::Reference, config_.costs.tlbLookup);
 
-    hw::TlbEntry *entry = tlb_.lookup(vpn);
+    // --- Key-carrying TLB. A same-page run replays the previous
+    // reference's TLB and register hits from the memo, counted and
+    // touched exactly as the probes would.
+    const bool memo_hit = memo_.valid && memo_.domain == domain &&
+                          memo_.vpn == vpn.number();
+    hw::AssocLoc tlb_loc;
+    hw::TlbEntry *entry;
+    if (memo_hit) {
+        entry = memo_.entry;
+        tlb_.replayHit(memo_.tlbLoc);
+    } else {
+        // The refills below may evict the entries the memo points at.
+        memo_.valid = false;
+        entry = tlb_.lookup(vpn, 0, &tlb_loc);
+    }
+    const bool tlb_hit = entry != nullptr;
     if (entry == nullptr) {
         SASOS_OBS_EVENT(obs::EventKind::TlbMiss, account_.total().count(),
                         va.raw(), 0);
@@ -249,14 +261,29 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
                         va.raw(), entry->aid);
     }
 
+    // --- Key-permission registers, dependent on the TLB's key.
     const hw::KeyId key = entry->aid;
-    vm::Access rights;
-    if (auto cached = keyCache_.lookup(domain, key)) {
-        rights = *cached;
-        SASOS_OBS_EVENT(obs::EventKind::PgCacheHit,
-                        account_.total().count(), va.raw(), key);
+    hw::AssocLoc kpr_loc;
+    std::optional<vm::Access> cached;
+    if (memo_hit) {
+        keyCache_.replayHit(memo_.kprLoc);
+        cached = memo_.rights;
     } else {
-        SASOS_OBS_EVENT(obs::EventKind::PgCacheMiss,
+        cached = keyCache_.lookup(domain, key, &kpr_loc);
+    }
+    vm::Access rights;
+    if (cached) {
+        rights = *cached;
+        SASOS_OBS_EVENT(obs::EventKind::KeyHit, account_.total().count(),
+                        va.raw(), key);
+        // Fills leave their ways unknown, so only a reference that hit
+        // both structures memoizes; the next same-page one replays.
+        if (tlb_hit && !memo_hit) {
+            memo_ = {true, domain, vpn.number(), entry, tlb_loc, kpr_loc,
+                     rights};
+        }
+    } else {
+        SASOS_OBS_EVENT(obs::EventKind::KeyMiss,
                         account_.total().count(), va.raw(), key);
         charge(CostCategory::Refill, config_.costs.kprRefill);
         // By the promotion invariant every page under this key shares
@@ -264,7 +291,7 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
         // derive from the faulting page alone.
         rights = state_.effectiveRights(domain, vpn);
         keyCache_.insert(domain, key, rights);
-        SASOS_OBS_EVENT(obs::EventKind::PgCacheFill,
+        SASOS_OBS_EVENT(obs::EventKind::KeyFill,
                         account_.total().count(), va.raw(), key);
     }
 
@@ -298,114 +325,6 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
     return {true, os::FaultKind::None};
 }
 
-os::BatchOutcome
-PkeySystem::accessBatch(os::DomainId domain, const vm::VAddr *vas, u64 n,
-                        vm::AccessType type)
-{
-    return driveBatch(*this, domain, vas, n, type);
-}
-
-os::AccessResult
-PkeySystem::accessFast(os::DomainId domain, vm::VAddr va,
-                       vm::AccessType type, BatchAccum &acc)
-{
-    const vm::Vpn vpn = vm::pageOf(va);
-    const bool store = type == vm::AccessType::Store;
-
-    acc.refCycles += config_.costs.l1Hit;
-    acc.refCycles += config_.costs.tlbLookup;
-
-    hw::TlbEntry *entry;
-    vm::Access rights;
-    if (memo_.valid && memo_.domain == domain &&
-        memo_.vpn == vpn.number()) {
-        // The previous reference resolved this page: replay exactly
-        // what its TLB and register hits would do again -- the stats
-        // deltas and the replacement touches -- without re-probing.
-        entry = memo_.entry;
-        rights = memo_.rights;
-        ++acc.tlbLookups;
-        ++acc.tlbHits;
-        tlb_.touchHit(memo_.tlbLoc);
-        ++acc.kprLookups;
-        ++acc.kprHits;
-        keyCache_.touchHit(memo_.kprLoc);
-    } else {
-        // From here on the memo describes a stale reference, and the
-        // refills below may evict the entries it points at.
-        memo_.valid = false;
-        hw::AssocLoc tlb_loc;
-        bool tlb_hit = true;
-        entry = tlb_.lookup(vpn, 0, &tlb_loc);
-        if (entry == nullptr) {
-            tlb_hit = false;
-            charge(CostCategory::Refill, config_.costs.tlbRefill);
-            const vm::Translation *translation =
-                state_.pageTable.lookup(vpn);
-            if (translation == nullptr) {
-                ++translationFaultsSeen;
-                return {false, os::FaultKind::Translation};
-            }
-            hw::TlbEntry fresh;
-            fresh.pfn = translation->pfn;
-            fresh.aid = keyFor(vpn);
-            entry = &tlb_.insert(vpn, fresh);
-            // Only hits memoize; the next same-page reference does.
-        }
-        const hw::KeyId key = entry->aid;
-        hw::AssocLoc kpr_loc;
-        if (auto cached = keyCache_.lookup(domain, key, &kpr_loc)) {
-            rights = *cached;
-            if (tlb_hit) {
-                memo_.valid = true;
-                memo_.domain = domain;
-                memo_.vpn = vpn.number();
-                memo_.entry = entry;
-                memo_.tlbLoc = tlb_loc;
-                memo_.kprLoc = kpr_loc;
-                memo_.rights = rights;
-            }
-        } else {
-            charge(CostCategory::Refill, config_.costs.kprRefill);
-            rights = state_.effectiveRights(domain, vpn);
-            keyCache_.insert(domain, key, rights);
-            // The insert's way is unknown too; do not memoize.
-        }
-    }
-
-    if (!vm::includes(rights, vm::requiredRight(type))) {
-        ++protectionDenies;
-        return {false, os::FaultKind::Protection};
-    }
-
-    const vm::PAddr pa = vm::translate(va, entry->pfn);
-    if (!mem_.l1Access(va, pa, store)) {
-        if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-            if (victim->dirty)
-                charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    entry->referenced = true;
-    if (store)
-        entry->dirty = true;
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
-    return {true, os::FaultKind::None};
-}
-
-void
-PkeySystem::flushBatch(BatchAccum &acc)
-{
-    account_.charge(CostCategory::Reference, acc.refCycles);
-    tlb_.lookups += acc.tlbLookups;
-    tlb_.hits += acc.tlbHits;
-    keyCache_.lookups += acc.kprLookups;
-    keyCache_.hits += acc.kprHits;
-    acc = {};
-}
-
 void
 PkeySystem::dropPageKeyRegisters(os::DomainId domain, vm::Vpn first,
                                  u64 pages)
@@ -423,7 +342,7 @@ void
 PkeySystem::onAttach(os::DomainId domain, const vm::Segment &seg,
                      vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     // The key binds lazily at the first refill; if the segment already
@@ -440,7 +359,7 @@ PkeySystem::onAttach(os::DomainId domain, const vm::Segment &seg,
 void
 PkeySystem::onDetach(os::DomainId domain, const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const auto it = segKey_.find(seg.id);
@@ -457,7 +376,7 @@ void
 PkeySystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
                             vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)rights;
@@ -472,7 +391,7 @@ PkeySystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 void
 PkeySystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)rights;
@@ -489,7 +408,7 @@ PkeySystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 void
 PkeySystem::onClearPageRightsAllDomains(vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const auto it = pageKey_.find(vpn.number());
@@ -508,7 +427,7 @@ void
 PkeySystem::onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
                                vm::Access rights)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     // The headline path: segment-wide revocation (or grant) is one
@@ -526,7 +445,7 @@ PkeySystem::onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
 void
 PkeySystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)from;
@@ -539,7 +458,7 @@ PkeySystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 void
 PkeySystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)vpn;
@@ -549,7 +468,7 @@ PkeySystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 void
 PkeySystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const u64 dropped = tlb_.purgePage(vpn);
@@ -561,7 +480,7 @@ PkeySystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 void
 PkeySystem::onDomainDestroyed(os::DomainId domain)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const auto regs = keyCache_.purgeDomain(domain);
@@ -573,7 +492,7 @@ PkeySystem::onDomainDestroyed(os::DomainId domain)
 void
 PkeySystem::onSegmentDestroyed(const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     const auto it = segKey_.find(seg.id);
@@ -593,7 +512,7 @@ PkeySystem::onSegmentDestroyed(const vm::Segment &seg)
 bool
 PkeySystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     // The denial may have come from a stale register or a stale key
@@ -646,7 +565,7 @@ PkeySystem::save(snap::SnapWriter &w) const
 void
 PkeySystem::load(snap::SnapReader &r)
 {
-    // Maintenance may touch entries behind the coalescing memo;
+    // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     r.expectTag("pkeymodel");

@@ -51,31 +51,8 @@ class PkeySystem : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    os::BatchOutcome accessBatch(os::DomainId domain, const vm::VAddr *vas,
-                                 u64 n, vm::AccessType type) override;
-
-    /** @name Batched fast path (core::driveBatch)
-     * accessFast() is access() with the hit path's Scalar bumps and
-     * charge() calls deferred into a batch-local accumulator, plus a
-     * one-entry memo replaying the previous reference's TLB and
-     * key-register resolution for same-page runs. flushBatch() folds
-     * the accumulator into the real stats once per chunk.
-     */
-    /// @{
-    struct BatchAccum
-    {
-        Cycles refCycles{};
-        u64 tlbLookups = 0;
-        u64 tlbHits = 0;
-        u64 kprLookups = 0;
-        u64 kprHits = 0;
-    };
-
-    os::AccessResult accessFast(os::DomainId domain, vm::VAddr va,
-                                vm::AccessType type, BatchAccum &acc);
-    void flushBatch(BatchAccum &acc);
-    void invalidateBatchMemo() override { memo_.valid = false; }
-    /// @}
+    /** Drop the same-page memo (see ProtectionModel::dropMemo). */
+    void dropMemo() override { memo_.valid = false; }
 
     void onAttach(os::DomainId domain, const vm::Segment &seg,
                   vm::Access rights) override;
@@ -168,12 +145,14 @@ class PkeySystem : public os::ProtectionModel
                               u64 pages);
 
     /**
-     * The previous fast-path reference's resolution. Valid only
-     * between two consecutive accessFast() calls, and only when both
-     * the TLB and the register file hit: every refill, hook and
-     * per-call access() clears it.
+     * The same-page memo: the previous reference's TLB and register
+     * hits. Every path that may insert, evict or rewrite a TLB entry
+     * or key register drops it first (a probe miss, which precedes
+     * any key binding or recycle, every hook, injected perturbations
+     * and dropMemo()), so a match guarantees `entry`, both
+     * replacement locations and `rights` are still live.
      */
-    struct BatchMemo
+    struct SamePageMemo
     {
         bool valid = false;
         os::DomainId domain = 0;
@@ -190,7 +169,7 @@ class PkeySystem : public os::ProtectionModel
     hw::Tlb tlb_;
     hw::KeyCache keyCache_;
     MemoryPath mem_;
-    BatchMemo memo_;
+    SamePageMemo memo_;
 
     /** @name Kernel key tables (serialized as the v3 "key tables") */
     /// @{

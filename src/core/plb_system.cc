@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "core/system.hh" // driveBatch
 #include "obs/tracer.hh"
 #include "sim/logging.hh"
 #include "snap/snapio.hh"
@@ -77,6 +76,8 @@ PlbSystem::refillShift(os::DomainId domain, vm::Vpn vpn,
 bool
 PlbSystem::applyPerturbation(const fault::Perturbation &p)
 {
+    // Evictions and flushes below may take the memoized entry.
+    memo_.valid = false;
     Rng &rng = injector_->rng();
     if (p.evictProtection) {
         withEngine([&](auto &engine) { return engine.evictOne(rng); });
@@ -108,13 +109,35 @@ PlbSystem::applyPerturbation(const fault::Perturbation &p)
     return p.transientFault;
 }
 
+std::optional<vm::Access>
+PlbSystem::probeProtection(os::DomainId domain, vm::VAddr va)
+{
+    const u64 vpn = vm::pageOf(va).number();
+    if (memo_.valid && memo_.domain == domain && memo_.vpn == vpn) {
+        // The previous reference hit this page's entry: count and
+        // touch it exactly as a probe would, without re-probing.
+        if (clplb_ != nullptr)
+            clplb_->replayHit(vpn, memo_.loc);
+        else
+            plb_->replayHit(memo_.loc);
+        return memo_.rights;
+    }
+    // From here on the memo describes another page, and a refill
+    // after a miss may evict the entry it points at.
+    memo_.valid = false;
+    hw::AssocLoc loc;
+    const auto match = withEngine(
+        [&](auto &engine) { return engine.lookup(domain, va, &loc); });
+    if (!match)
+        return std::nullopt;
+    if (plbPageUniform_)
+        memo_ = {true, domain, vpn, match->rights, loc};
+    return match->rights;
+}
+
 os::AccessResult
 PlbSystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
 {
-    // A per-call access (kernel fault-retry excursions included) may
-    // insert or evict behind the coalescing memo; drop it.
-    memo_.valid = false;
-
     if (injector_ != nullptr) {
         const fault::Perturbation p = injector_->tick();
         if (p.any() && applyPerturbation(p)) {
@@ -133,9 +156,8 @@ PlbSystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
 
     // --- Protection side: PLB, refilled from the protection tables.
     vm::Access rights;
-    if (auto match = withEngine(
-            [&](auto &engine) { return engine.lookup(domain, va); })) {
-        rights = match->rights;
+    if (const auto hit = probeProtection(domain, va)) {
+        rights = *hit;
         SASOS_OBS_EVENT(obs::EventKind::PlbHit, account_.total().count(),
                         va.raw(), domain);
     } else {
@@ -201,127 +223,6 @@ PlbSystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
     if (store)
         state_.pageTable.markDirty(vpn);
     return {true, os::FaultKind::None};
-}
-
-os::BatchOutcome
-PlbSystem::accessBatch(os::DomainId domain, const vm::VAddr *vas, u64 n,
-                      vm::AccessType type)
-{
-    return driveBatch(*this, domain, vas, n, type);
-}
-
-os::AccessResult
-PlbSystem::accessFast(os::DomainId domain, vm::VAddr va,
-                      vm::AccessType type, BatchAccum &acc)
-{
-    const vm::Vpn vpn = vm::pageOf(va);
-    const bool store = type == vm::AccessType::Store;
-
-    // One base cycle covers the parallel PLB + VIVT cache probe.
-    acc.refCycles += config_.costs.l1Hit;
-
-    // --- Protection side: memo for same-page runs, else the PLB.
-    vm::Access rights;
-    if (memo_.valid && memo_.domain == domain &&
-        memo_.vpn == vpn.number()) {
-        // The previous reference resolved this page: replay exactly
-        // what its PLB hit would do again -- the stats deltas and the
-        // replacement touch -- without re-scanning the set.
-        ++acc.plbLookups;
-        ++acc.plbHits;
-        if (clplb_ != nullptr)
-            clplb_->touchHit(memo_.vpn, memo_.loc);
-        else
-            plb_->touchHit(memo_.loc);
-        rights = memo_.rights;
-    } else {
-        // From here on the memo describes a stale reference, and the
-        // refill below may evict the entry it points at.
-        memo_.valid = false;
-        hw::AssocLoc loc;
-        if (auto match = withEngine([&](auto &engine) {
-                return engine.lookup(domain, va, &loc);
-            })) {
-            rights = match->rights;
-            if (plbPageUniform_) {
-                memo_.valid = true;
-                memo_.domain = domain;
-                memo_.vpn = vpn.number();
-                memo_.rights = rights;
-                memo_.loc = loc;
-            }
-        } else {
-            charge(CostCategory::Refill, config_.costs.plbRefill);
-            rights = state_.effectiveRights(domain, vpn);
-            const vm::Segment *seg = state_.segments.findByPage(vpn);
-            const int shift = refillShift(domain, vpn, seg);
-            if (shift > vm::kPageShift)
-                ++superPageFills;
-            else
-                ++pageFills;
-            // The filled way is unknown without re-probing, so a fill
-            // does not memoize; the next same-page reference's hit
-            // establishes the memo.
-            withEngine([&](auto &engine) {
-                engine.insert(domain, va, shift, rights);
-                return 0;
-            });
-        }
-    }
-
-    // --- Data side: the cache is probed in parallel.
-    const bool cache_hit = mem_.l1Access(va, std::nullopt, store);
-
-    if (!vm::includes(rights, vm::requiredRight(type))) {
-        ++protectionDenies;
-        return {false, os::FaultKind::Protection};
-    }
-
-    if (cache_hit) {
-        state_.pageTable.markReferenced(vpn);
-        if (store)
-            state_.pageTable.markDirty(vpn);
-        return {true, os::FaultKind::None};
-    }
-
-    // Cache miss: translation is needed, from the off-chip TLB.
-    const auto pfn = translateOffChip(vpn);
-    if (!pfn) {
-        ++translationFaultsSeen;
-        return {false, os::FaultKind::Translation};
-    }
-
-    const vm::PAddr pa = vm::translate(va, *pfn);
-    if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-        if (victim->dirty) {
-            ++writebackTranslations;
-            const vm::Vpn victim_vpn(victim->vline * config_.cache.lineBytes
-                                     >> vm::kPageShift);
-            (void)translateOffChip(victim_vpn);
-            charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
-    return {true, os::FaultKind::None};
-}
-
-void
-PlbSystem::flushBatch(BatchAccum &acc)
-{
-    account_.charge(CostCategory::Reference, acc.refCycles);
-    // Memo replays never reach a bank, so in clustered mode they fold
-    // into the cluster-level scalars (documented to exceed bank sums).
-    if (clplb_ != nullptr) {
-        clplb_->lookups += acc.plbLookups;
-        clplb_->hits += acc.plbHits;
-    } else {
-        plb_->lookups += acc.plbLookups;
-        plb_->hits += acc.plbHits;
-    }
-    acc = {};
 }
 
 std::optional<vm::Pfn>

@@ -52,32 +52,8 @@ class PlbSystem : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    os::BatchOutcome accessBatch(os::DomainId domain, const vm::VAddr *vas,
-                                 u64 n, vm::AccessType type) override;
-
-    /** @name Batched fast path (core::driveBatch)
-     * accessFast() is access() with the per-reference Scalar bumps and
-     * charge() calls of the hit path deferred into a batch-local
-     * accumulator, plus a one-entry memo that lets consecutive
-     * references to the same (domain, page) replay the previous
-     * resolution -- stats deltas and replacement touch included --
-     * without re-probing the PLB. flushBatch() folds the accumulator
-     * into the real stats; the driver calls it once per chunk and
-     * before every faulting return.
-     */
-    /// @{
-    struct BatchAccum
-    {
-        Cycles refCycles{};
-        u64 plbLookups = 0;
-        u64 plbHits = 0;
-    };
-
-    os::AccessResult accessFast(os::DomainId domain, vm::VAddr va,
-                                vm::AccessType type, BatchAccum &acc);
-    void flushBatch(BatchAccum &acc);
-    void invalidateBatchMemo() override { memo_.valid = false; }
-    /// @}
+    /** Drop the same-page memo (see ProtectionModel::dropMemo). */
+    void dropMemo() override { memo_.valid = false; }
 
     void onAttach(os::DomainId domain, const vm::Segment &seg,
                   vm::Access rights) override;
@@ -149,6 +125,12 @@ class PlbSystem : public os::ProtectionModel
      * @return true if the reference must raise a transient fault. */
     bool applyPerturbation(const fault::Perturbation &p);
 
+    /** The protection-side probe of access(): replay the memo on a
+     * same-page run, else look the PLB up (memoizing a hit).
+     * @return the granted rights on a hit, nullopt on a PLB miss. */
+    std::optional<vm::Access> probeProtection(os::DomainId domain,
+                                              vm::VAddr va);
+
     /** Resolve a virtual address through the off-chip TLB; nullopt if
      * the page is unmapped. Charges lookup + refill costs. */
     std::optional<vm::Pfn> translateOffChip(vm::Vpn vpn);
@@ -158,13 +140,13 @@ class PlbSystem : public os::ProtectionModel
                     const vm::Segment *seg) const;
 
     /**
-     * The previous fast-path reference's PLB resolution. Valid only
-     * between two consecutive accessFast() calls: every full-path
-     * resolution overwrites or clears it, every maintenance hook and
-     * per-call access() clears it, so a match guarantees the entry at
-     * `loc` is still the one that granted `rights`.
+     * The same-page memo: the previous reference's PLB hit. A match
+     * guarantees the entry at `loc` is still the one that granted
+     * `rights`, because every path that may insert, evict or rewrite
+     * a PLB entry drops the memo first: a probe miss, every
+     * maintenance hook, injected perturbations and dropMemo().
      */
-    struct BatchMemo
+    struct SamePageMemo
     {
         bool valid = false;
         os::DomainId domain = 0;
@@ -200,7 +182,7 @@ class PlbSystem : public os::ProtectionModel
     std::unique_ptr<hw::ClusterPlb> clplb_;
     hw::Tlb tlb_;
     MemoryPath mem_;
-    BatchMemo memo_;
+    SamePageMemo memo_;
     /** Cached plb_.pageUniform(): sub-page block classes make a
      * VPN-grain memo unsound, so memoization is disabled. */
     bool plbPageUniform_ = false;

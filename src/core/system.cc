@@ -1,8 +1,5 @@
 #include "core/system.hh"
 
-#include <algorithm>
-#include <array>
-
 #include "obs/export.hh"
 #include "obs/tracer.hh"
 #include "sim/logging.hh"
@@ -126,54 +123,12 @@ System::resolveAndRetry(os::DomainId domain, vm::VAddr va,
 RunResult
 System::run(wl::AddressStream &stream, u64 n, Rng &rng, vm::AccessType type)
 {
-    SASOS_ASSERT(kernel_->currentDomain() != 0,
-                 "no current domain; create one first");
-    if (obs::enabled()) {
-        // Tracing wants one begin/end span per reference, so issue
-        // through access(); simulated cycles and statistics are
-        // bit-identical to the batched loop below.
-        RunResult tally;
-        for (u64 i = 0; i < n; ++i) {
-            if (access(stream.next(rng), type))
-                ++tally.completed;
-            else
-                ++tally.failed;
-        }
-        return tally;
-    }
-    // Addresses are generated a chunk at a time and issued through
-    // the model's devirtualized batch loop; only references whose
-    // first attempt faults fall back to the kernel's per-reference
-    // resolution path. The stats counter is bumped once per chunk.
-    constexpr u64 kChunk = 512;
-    std::array<vm::VAddr, kChunk> buffer;
     RunResult tally;
-    for (u64 left = n; left > 0;) {
-        const u64 chunk = std::min(left, kChunk);
-        for (u64 i = 0; i < chunk; ++i)
-            buffer[i] = stream.next(rng);
-        references += chunk;
-        u64 i = 0;
-        while (i < chunk) {
-            // Re-read the domain after every excursion through the
-            // kernel: fault handling may have switched domains, and
-            // access() picks up the current one per reference.
-            const os::DomainId domain = kernel_->currentDomain();
-            const os::BatchOutcome outcome = model_->accessBatch(
-                domain, buffer.data() + i, chunk - i, type);
-            tally.completed += outcome.completed;
-            i += outcome.completed;
-            if (i == chunk)
-                break;
-            // buffer[i] made its first attempt inside the batch and
-            // faulted; finish it exactly as access() would.
-            if (resolveAndRetry(domain, buffer[i], type, outcome.faulted))
-                ++tally.completed;
-            else
-                ++tally.failed;
-            ++i;
-        }
-        left -= chunk;
+    for (u64 i = 0; i < n; ++i) {
+        if (access(stream.next(rng), type))
+            ++tally.completed;
+        else
+            ++tally.failed;
     }
     return tally;
 }

@@ -20,7 +20,6 @@
 #include "core/plb_system.hh"
 #include "core/system_config.hh"
 #include "fault/fault.hh"
-#include "obs/tracer.hh"
 #include "os/kernel.hh"
 #include "os/pager.hh"
 #include "sim/random.hh"
@@ -33,7 +32,7 @@ class AddressStream;
 namespace sasos::core
 {
 
-/** Tally of one batched System::run() call. */
+/** Tally of one System::run() call. */
 struct RunResult
 {
     /** References that completed (possibly after resolved faults). */
@@ -52,49 +51,6 @@ struct RunResult
 void saveConfigSignature(snap::SnapWriter &w, const SystemConfig &config);
 void checkConfigSignature(snap::SnapReader &r, const SystemConfig &config);
 /// @}
-
-/**
- * The shared batch driver behind every model's accessBatch override.
- *
- * Each model supplies two ingredients: a `BatchAccum` type of
- * batch-local stat/cycle accumulators, and an `accessFast(domain, va,
- * type, acc)` hit path that defers its Scalar bumps and charge()
- * calls into the accumulator and coalesces same-page runs through the
- * model's one-entry memo. flushBatch(acc) folds the accumulator into
- * the real stats exactly once per chunk (and before every faulting
- * return, so a fault observer sees fully up-to-date totals).
- *
- * When tracing is live or a fault injector is attached, per-reference
- * observability matters more than throughput, so the driver falls
- * back to the model's exact access() body per reference -- statically
- * dispatched, which is what the old per-model accessBatch loops did.
- */
-template <typename Model>
-os::BatchOutcome
-driveBatch(Model &model, os::DomainId domain, const vm::VAddr *vas, u64 n,
-           vm::AccessType type)
-{
-    if (obs::enabled() || model.injector() != nullptr) {
-        for (u64 i = 0; i < n; ++i) {
-            const os::AccessResult result =
-                model.Model::access(domain, vas[i], type);
-            if (!result.completed)
-                return {i, result};
-        }
-        return {n, {}};
-    }
-    typename Model::BatchAccum acc;
-    for (u64 i = 0; i < n; ++i) {
-        const os::AccessResult result =
-            model.accessFast(domain, vas[i], type, acc);
-        if (!result.completed) {
-            model.flushBatch(acc);
-            return {i, result};
-        }
-    }
-    model.flushBatch(acc);
-    return {n, {}};
-}
 
 /** One simulated machine running the SASOS kernel. */
 class System
@@ -122,13 +78,8 @@ class System
     void touchRange(vm::VAddr base, u64 bytes);
 
     /**
-     * Issue `n` references drawn from `stream` through the batched
-     * fast path. Simulated cycles and statistics are bit-identical to
-     * calling access(stream.next(rng), type) n times, but the
-     * fault-free path runs inside the model's devirtualized inner
-     * loop with one stats update per chunk, which is several times
-     * cheaper in host time. The kernel resolves faults exactly as in
-     * access().
+     * Issue `n` references drawn from `stream`: exactly
+     * access(stream.next(rng), type), n times, tallied.
      */
     RunResult run(wl::AddressStream &stream, u64 n, Rng &rng,
                   vm::AccessType type = vm::AccessType::Load);

@@ -67,7 +67,7 @@ struct SweepCell
     core::SystemConfig config;
     /** Heap segment size the stream ranges over. */
     u64 pages = 256;
-    /** References to issue through the batched fast path. */
+    /** References to issue through System::run. */
     u64 references = 200'000;
     vm::AccessType type = vm::AccessType::Load;
     StreamFactory makeStream;

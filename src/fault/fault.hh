@@ -91,9 +91,8 @@ class FaultInjector
     /**
      * Advance the schedule by one reference and return what (if
      * anything) to inject before it. Called once per model access,
-     * including kernel-driven retries, in both the per-call and the
-     * batched issue paths, so the schedule is identical whichever
-     * path issues the references.
+     * including kernel-driven retries, so the schedule is identical
+     * whether System::run or per-call access() issues the references.
      */
     Perturbation tick();
 

@@ -72,12 +72,15 @@ class ClusterPlb
                                    AssocLoc *loc = nullptr);
     std::optional<PlbMatch> peek(DomainId domain, vm::VAddr va) const;
 
-    /** Replay a remembered hit's replacement touch; the vpn routes
-     * the remembered AssocLoc to its bank. */
+    /** Replay a remembered hit exactly as lookup() would count and
+     * touch it, at cluster and bank level; the vpn routes the
+     * remembered AssocLoc to its bank. */
     void
-    touchHit(u64 vpn, const AssocLoc &loc)
+    replayHit(u64 vpn, const AssocLoc &loc)
     {
-        banks_[bankOf(vpn)]->touchHit(loc);
+        ++lookups;
+        ++hits;
+        banks_[bankOf(vpn)]->replayHit(loc);
     }
 
     /** Page-grain only, so every match covers its whole page. */
@@ -136,9 +139,7 @@ class ClusterPlb
     /// @}
 
     /** @name Statistics
-     * Cluster-level lookups/hits/misses also absorb the owning
-     * system's batch-memo replays (which never reach a bank), so the
-     * cluster totals may exceed the per-bank sums. */
+     * Cluster-level lookups/hits/misses equal the per-bank sums. */
     /// @{
     stats::Group statsGroup;
     stats::Scalar lookups;

@@ -60,18 +60,25 @@ class KeyCache
     /**
      * Look up the rights a domain holds for a key.
      * @param loc filled with the hit's array location when non-null,
-     *            for touchHit() replay on coalesced runs.
+     *            for replayHit() on same-page runs.
      * @return rights on hit, nullopt on miss. Counts stats.
      */
     std::optional<vm::Access> lookup(DomainId domain, KeyId key,
                                      AssocLoc *loc = nullptr);
 
     /**
-     * Replay the replacement touch of a remembered hit, exactly as
-     * lookup() would. The caller guarantees the entry is still live
-     * (any insert or purge since invalidates the remembered loc).
+     * Replay a remembered hit exactly as lookup() would count and
+     * touch it: one lookup, one hit, the replacement touch. The
+     * caller guarantees the entry is still live (any insert or purge
+     * since invalidates the remembered loc).
      */
-    void touchHit(const AssocLoc &loc) { array_.touch(loc); }
+    void
+    replayHit(const AssocLoc &loc)
+    {
+        ++lookups;
+        ++hits;
+        array_.touch(loc);
+    }
 
     /** Probe without stats/replacement updates. */
     std::optional<vm::Access> peek(DomainId domain, KeyId key) const;

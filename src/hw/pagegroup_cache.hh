@@ -57,16 +57,28 @@ class PageGroupCache
      * Group 0 always matches with writes enabled.
      * @param loc filled with the hit's array location when non-null
      *            (left untouched for group-0 hits, which never probe
-     *            the array), for touchHit() replay on coalesced runs.
+     *            the array), for replayHit() on same-page runs.
      */
     std::optional<PidMatch> lookup(GroupId aid, AssocLoc *loc = nullptr);
 
     /**
-     * Replay the replacement touch of a remembered hit, exactly as
-     * lookup() would. The caller guarantees the entry is still live
-     * (any insert or purge since invalidates the remembered loc).
+     * Replay a remembered lookup(aid) hit exactly as lookup() would
+     * count and touch it: one lookup, then a global hit for group 0
+     * or a hit plus the replacement touch of `loc`. The caller
+     * guarantees the entry is still live (any insert or purge since
+     * invalidates the remembered loc).
      */
-    void touchHit(const AssocLoc &loc) { array_.touch(loc); }
+    void
+    replayHit(GroupId aid, const AssocLoc &loc)
+    {
+        ++lookups;
+        if (aid == kGlobalGroup) {
+            ++globalHits;
+            return;
+        }
+        ++hits;
+        array_.touch(loc);
+    }
 
     /** Probe without stats/replacement updates. */
     std::optional<PidMatch> peek(GroupId aid) const;

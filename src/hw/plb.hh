@@ -83,7 +83,7 @@ class Plb
      * A match with rights None is a hit (an explicit deny), not a
      * miss; the caller raises a protection fault without refilling.
      * @param loc filled with the hit entry's array location when
-     *            non-null, for touchHit() replay on coalesced runs.
+     *            non-null, for replayHit() on same-page runs.
      */
     std::optional<PlbMatch> lookup(DomainId domain, vm::VAddr va,
                                    AssocLoc *loc = nullptr);
@@ -92,11 +92,18 @@ class Plb
     std::optional<PlbMatch> peek(DomainId domain, vm::VAddr va) const;
 
     /**
-     * Replay the replacement touch of a remembered hit, exactly as
-     * lookup() would. The caller guarantees the entry is still live
-     * (any insert or purge since invalidates the remembered loc).
+     * Replay a remembered hit exactly as lookup() would count and
+     * touch it: one lookup, one hit, the replacement touch. The
+     * caller guarantees the entry is still live (any insert or purge
+     * since invalidates the remembered loc).
      */
-    void touchHit(const AssocLoc &loc) { array_.touch(loc); }
+    void
+    replayHit(const AssocLoc &loc)
+    {
+        ++lookups;
+        ++hits;
+        array_.touch(loc);
+    }
 
     /**
      * True when every configured size class covers at least a full

@@ -92,18 +92,25 @@ class Tlb
      * @param vpn   page to translate.
      * @param asid  current domain; only used by Conventional TLBs.
      * @param loc   filled with the hit's array location when non-null,
-     *              for touchHit() replay on coalesced runs.
+     *              for replayHit() on same-page runs.
      * @return entry on hit, null on miss. Counts stats.
      */
     TlbEntry *lookup(vm::Vpn vpn, DomainId asid = 0,
                      AssocLoc *loc = nullptr);
 
     /**
-     * Replay the replacement touch of a remembered hit, exactly as
-     * lookup() would. The caller guarantees the entry is still live
-     * (any insert or purge since invalidates the remembered loc).
+     * Replay a remembered hit exactly as lookup() would count and
+     * touch it: one lookup, one hit, the replacement touch. The
+     * caller guarantees the entry is still live (any insert or purge
+     * since invalidates the remembered loc).
      */
-    void touchHit(const AssocLoc &loc) { array_.touch(loc); }
+    void
+    replayHit(const AssocLoc &loc)
+    {
+        ++lookups;
+        ++hits;
+        array_.touch(loc);
+    }
 
     /** Lookup without stats or replacement update (for tests). */
     const TlbEntry *peek(vm::Vpn vpn, DomainId asid = 0) const;

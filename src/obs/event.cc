@@ -34,6 +34,14 @@ toString(EventKind kind)
         return "pgCacheFill";
       case EventKind::PgCacheEvict:
         return "pgCacheEvict";
+      case EventKind::KeyHit:
+        return "keyHit";
+      case EventKind::KeyMiss:
+        return "keyMiss";
+      case EventKind::KeyFill:
+        return "keyFill";
+      case EventKind::KeyEvict:
+        return "keyEvict";
       case EventKind::DCacheHit:
         return "dcacheHit";
       case EventKind::DCacheMiss:

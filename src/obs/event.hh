@@ -40,6 +40,11 @@ enum class EventKind : u8
     PgCacheMiss,
     PgCacheFill,
     PgCacheEvict,
+    /** Key-permission registers (MPK-style key model). */
+    KeyHit,
+    KeyMiss,
+    KeyFill,
+    KeyEvict,
     /** First-level data cache. */
     DCacheHit,
     DCacheMiss,

@@ -5,18 +5,4 @@ namespace sasos::os
 
 ProtectionModel::~ProtectionModel() = default;
 
-BatchOutcome
-ProtectionModel::accessBatch(DomainId domain, const vm::VAddr *vas, u64 n,
-                             vm::AccessType type)
-{
-    // Generic fallback: virtual dispatch per reference. Models
-    // override this with a direct-call loop over their own access().
-    for (u64 i = 0; i < n; ++i) {
-        const AccessResult result = access(domain, vas[i], type);
-        if (!result.completed)
-            return {i, result};
-    }
-    return {n, {}};
-}
-
 } // namespace sasos::os

@@ -59,16 +59,6 @@ struct AccessResult
     FaultKind fault = FaultKind::None;
 };
 
-/** Outcome of a batched issue through accessBatch(). */
-struct BatchOutcome
-{
-    /** References that completed without any fault. */
-    u64 completed = 0;
-    /** When completed < n: the first-attempt result of the reference
-     * at index `completed`, which faulted and stopped the batch. */
-    AccessResult faulted;
-};
-
 /** Abstract protection architecture. */
 class ProtectionModel
 {
@@ -78,36 +68,33 @@ class ProtectionModel
     virtual const char *name() const = 0;
 
     /**
-     * Issue one reference from a domain. The model resolves its own
-     * structure misses (charging refill costs) and either completes
-     * the reference or reports a fault. It must never complete a
-     * reference whose required right the kernel has not granted.
+     * Issue one reference from a domain: the model's one reference
+     * path, traced or not, injected or not. The model resolves its
+     * own structure misses (charging refill costs) and either
+     * completes the reference or reports a fault. It must never
+     * complete a reference whose required right the kernel has not
+     * granted.
+     *
+     * Models with a same-page memo keep the previous reference's
+     * protection-structure hit (entry, replacement location, rights)
+     * and, when the next reference is from the same domain to the
+     * same page, serve it from the memo: the same lookup/hit counts,
+     * replacement touch and trace events as the probe it replaces,
+     * so stats and cycles are those of a memo-free run.
      */
     virtual AccessResult access(DomainId domain, vm::VAddr va,
                                 vm::AccessType type) = 0;
 
     /**
-     * Issue up to `n` references, stopping after the first one whose
-     * initial attempt faults. Semantically identical to calling
-     * access() in a loop; concrete models override it with a
-     * devirtualized inner loop so the fault-free hit path pays one
-     * virtual dispatch per batch instead of per reference.
-     */
-    virtual BatchOutcome accessBatch(DomainId domain, const vm::VAddr *vas,
-                                     u64 n, vm::AccessType type);
-
-    /**
-     * Forget any same-page coalescing memo the batched fast path is
-     * holding. Models memoize the previous reference's resolution
-     * (entry pointer, replacement location, rights) to skip re-probing
-     * on same-page runs; anything that mutates hardware structures
-     * behind the model's back -- a remote shootdown ack, a test poking
-     * a structure directly -- must call this so a stale memo can never
-     * leak rights or touch a recycled slot. The model's own hooks and
-     * access() entry invalidate internally; the default is a no-op for
+     * Forget the same-page memo. The model's own maintenance hooks,
+     * probe misses and injected perturbations drop it internally;
+     * anything that mutates hardware structures behind the model's
+     * back -- a remote shootdown ack, a test poking a structure
+     * directly -- must call this, so a stale memo can never leak
+     * rights or touch a recycled slot. The default is a no-op for
      * models without a memo.
      */
-    virtual void invalidateBatchMemo() {}
+    virtual void dropMemo() {}
 
     /** @name Kernel-driven maintenance hooks
      * Called *after* the kernel has updated the canonical protection

@@ -49,21 +49,21 @@ void
 ThreadPool::submit(Task task)
 {
     SASOS_ASSERT(task != nullptr, "null task submitted to the pool");
-    unsigned target;
-    if (tls_pool == this) {
-        target = tls_index;
-    } else {
+    unsigned target = tls_index;
+    {
+        // Count the task before it becomes visible: once pushed, a
+        // thief may run and finish it at once, and its decrements
+        // must never drive the counters through zero (which would
+        // wake wait() with work still outstanding).
         std::lock_guard<std::mutex> lock(sleepMutex_);
-        target = static_cast<unsigned>(nextQueue_++ % queues_.size());
+        if (tls_pool != this)
+            target = static_cast<unsigned>(nextQueue_++ % queues_.size());
+        ++queued_;
+        ++pending_;
     }
     {
         std::lock_guard<std::mutex> lock(queues_[target]->mutex);
         queues_[target]->tasks.push_back(std::move(task));
-    }
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        ++queued_;
-        ++pending_;
     }
     wake_.notify_one();
 }

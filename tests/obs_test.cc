@@ -597,35 +597,77 @@ TEST_P(ObsReconcileTest, EventCountsMatchStatsCounters)
     EXPECT_EQ(countKind(events, obs::EventKind::DomainSwitch),
               kernel.domainSwitches.value());
 
+    // Hit events come from probes and same-page memo replays alike,
+    // so they must match the structures' hit counters exactly.
+    auto expectTlbEvents = [&](const hw::Tlb &tlb) {
+        EXPECT_EQ(countKind(events, obs::EventKind::TlbHit),
+                  tlb.hits.value());
+        EXPECT_EQ(countKind(events, obs::EventKind::TlbMiss),
+                  tlb.misses.value());
+    };
     if (GetParam() == core::ModelKind::Plb) {
         auto *plb = system.plbSystem();
         ASSERT_NE(plb, nullptr);
+        EXPECT_EQ(countKind(events, obs::EventKind::PlbHit),
+                  plb->plb().hits.value());
         EXPECT_EQ(countKind(events, obs::EventKind::PlbFill),
                   plb->pageFills.value() + plb->superPageFills.value());
         EXPECT_EQ(countKind(events, obs::EventKind::PlbMiss),
                   plb->pageFills.value() + plb->superPageFills.value());
+        expectTlbEvents(plb->translationTlb());
     }
     if (GetParam() == core::ModelKind::PageGroup) {
         auto *pg = system.pageGroupSystem();
         ASSERT_NE(pg, nullptr);
+        EXPECT_EQ(countKind(events, obs::EventKind::PgCacheHit),
+                  pg->pageGroupCache().hits.value() +
+                      pg->pageGroupCache().globalHits.value());
         EXPECT_EQ(countKind(events, obs::EventKind::PgCacheFill),
                   pg->pgCacheRefills.value());
+        expectTlbEvents(pg->tlb());
+    }
+    if (GetParam() == core::ModelKind::Conventional) {
+        auto *conv = system.conventionalSystem();
+        ASSERT_NE(conv, nullptr);
+        expectTlbEvents(conv->tlb());
+    }
+    if (GetParam() == core::ModelKind::Pkey) {
+        auto *pkey = system.pkeySystem();
+        ASSERT_NE(pkey, nullptr);
+        const hw::KeyCache &keys = pkey->keyCache();
+        EXPECT_EQ(countKind(events, obs::EventKind::KeyHit),
+                  keys.hits.value());
+        EXPECT_EQ(countKind(events, obs::EventKind::KeyMiss),
+                  keys.misses.value());
+        EXPECT_EQ(countKind(events, obs::EventKind::KeyHit) +
+                      countKind(events, obs::EventKind::KeyMiss),
+                  keys.lookups.value());
+        EXPECT_EQ(countKind(events, obs::EventKind::KeyFill),
+                  keys.insertions.value());
+        EXPECT_GT(keys.hits.value(), 0u);
+        // Key registers are not the page-group cache.
+        EXPECT_EQ(countKind(events, obs::EventKind::PgCacheHit) +
+                      countKind(events, obs::EventKind::PgCacheMiss) +
+                      countKind(events, obs::EventKind::PgCacheFill),
+                  0u);
+        expectTlbEvents(pkey->tlb());
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ObsReconcileTest,
                          testing::Values(core::ModelKind::Plb,
                                          core::ModelKind::PageGroup,
-                                         core::ModelKind::Conventional));
+                                         core::ModelKind::Conventional,
+                                         core::ModelKind::Pkey));
 
 TEST(ObsReconcileTest, TracedRunIsBitIdenticalToUntraced)
 {
     TracingGuard guard;
-    // The traced System::run falls back to per-reference access();
-    // simulated cycles and stats must not change.
-    auto runOnce = [](bool traced) {
+    // Tracing only observes the one reference path; simulated cycles
+    // and stats must not change on any model.
+    auto runOnce = [](core::ModelKind kind, bool traced) {
         std::unique_ptr<core::System> sys;
-        core::System &system = setupSystem(sys, core::ModelKind::Plb);
+        core::System &system = setupSystem(sys, kind);
         if (traced)
             obs::startTracing({.bufferEvents = u64{1} << 18});
         wl::ZipfPageStream stream(vm::VAddr(0x100000), 64, 0.8, 7);
@@ -637,7 +679,12 @@ TEST(ObsReconcileTest, TracedRunIsBitIdenticalToUntraced)
         system.dumpStats(dump);
         return dump.str();
     };
-    EXPECT_EQ(runOnce(false), runOnce(true));
+    for (const core::ModelKind kind :
+         {core::ModelKind::Plb, core::ModelKind::PageGroup,
+          core::ModelKind::Conventional, core::ModelKind::Pkey}) {
+        EXPECT_EQ(runOnce(kind, false), runOnce(kind, true))
+            << core::toString(kind);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the parallel sweep engine and the batched reference fast
- * path: the thread pool executes everything exactly once, a sweep's
- * simulated results are bit-identical whatever the thread count, and
- * System::run charges exactly the cycles a per-call access() loop
- * would.
+ * Tests for the parallel sweep engine and the reference loop: the
+ * thread pool executes everything exactly once, a sweep's simulated
+ * results are bit-identical whatever the thread count, and System::run
+ * with the models' same-page memo live charges exactly the cycles and
+ * stats of memo-free per-call access().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "bench_common.hh"
 #include "sim/parallel.hh"
 #include "farm/campaign.hh"
+#include "obs/tracer.hh"
 #include "workload/address_stream.hh"
 
 using namespace sasos;
@@ -56,6 +58,35 @@ TEST(ThreadPoolTest, TasksMaySpawnSubtasks)
     }
     pool.wait();
     EXPECT_EQ(total.load(), 8 * 5);
+}
+
+TEST(ThreadPoolTest, WaitCountsSubtasksSpawnedUnderStress)
+{
+    // Many short rounds of tasks that spawn subtasks onto their own
+    // deques, where idle workers steal them at once. wait() must
+    // return only after every task of the round ran: a submit that
+    // published a task before counting it could be overtaken by the
+    // thief's finish and wake wait() early.
+    constexpr int kRounds = 5000;
+    constexpr int kParents = 8;
+    constexpr int kChildren = 6;
+    // Declared before the pool, so the pool (and any task a broken
+    // wait() left running) is gone before the counters are.
+    std::vector<std::atomic<int>> totals(kRounds);
+    ThreadPool pool(4);
+    for (int round = 0; round < kRounds; ++round) {
+        std::atomic<int> &total = totals[round];
+        for (int i = 0; i < kParents; ++i) {
+            pool.submit([&pool, &total] {
+                for (int j = 0; j < kChildren; ++j)
+                    pool.submit([&total] { ++total; });
+                ++total;
+            });
+        }
+        pool.wait();
+        ASSERT_EQ(total.load(), kParents * (kChildren + 1))
+            << "round " << round;
+    }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndex)
@@ -157,14 +188,87 @@ TEST(SweepRunnerTest, DistinctSeedsProduceDistinctStreams)
 namespace
 {
 
+/** The reference side of every run-vs-per-call twin: each reference
+ * goes through System::access with the model's same-page memo dropped
+ * first. The run side keeps the memo live across references, so a
+ * memo hit that counts, touches or grants differently from the probe
+ * it replaces, or a memo that outlives a structure change, shows up as
+ * a difference between the twins. */
+bool
+accessWithoutMemo(core::System &sys, vm::VAddr va, vm::AccessType type)
+{
+    sys.model().dropMemo();
+    return sys.access(va, type);
+}
+
+std::string
+dumpOf(core::System &sys)
+{
+    std::ostringstream os;
+    sys.dumpStats(os);
+    return os.str();
+}
+
+/** The memory-path events `issue()` emits, from a fresh session. */
+template <typename Issue>
+std::vector<obs::Event>
+eventsOf(Issue &&issue)
+{
+    obs::startTracing({.bufferEvents = u64{1} << 19});
+    issue();
+    const u64 dropped = obs::droppedEvents();
+    std::vector<obs::Event> events = obs::stopTracing();
+    EXPECT_EQ(dropped, 0u);
+    return events;
+}
+
+/** Both twins' traces must agree event for event. Totals alone can
+ * balance out: a stale memo hit standing in for a probe miss only
+ * moves that miss to the page's next reference when the structure
+ * has room for the whole heap, yet it changes the trace at once. */
+void
+expectSameEvents(const std::vector<obs::Event> &run,
+                 const std::vector<obs::Event> &per_call)
+{
+    const std::size_t n = std::min(run.size(), per_call.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const obs::Event &a = run[i];
+        const obs::Event &b = per_call[i];
+        if (a.kind != b.kind || a.cycle != b.cycle || a.addr != b.addr ||
+            a.arg != b.arg) {
+            ADD_FAILURE() << "first differing event #" << i << ": run "
+                          << obs::toString(a.kind) << " @" << a.cycle
+                          << " addr " << a.addr << ", per-call "
+                          << obs::toString(b.kind) << " @" << b.cycle
+                          << " addr " << b.addr;
+            return;
+        }
+    }
+    EXPECT_EQ(run.size(), per_call.size());
+}
+
+/** The PLB model with its entries split over four banks. */
+core::SystemConfig
+clusteredPlbConfig()
+{
+    core::SystemConfig config =
+        core::SystemConfig::forModel(core::ModelKind::Plb);
+    config.plb.clusters = 4;
+    return config;
+}
+
 struct TwinSystems
 {
-    explicit TwinSystems(core::ModelKind kind)
-        : perCall(core::SystemConfig::forModel(kind)),
-          batched(core::SystemConfig::forModel(kind))
+    explicit TwinSystems(const core::SystemConfig &config)
+        : perCall(config), viaRun(config)
     {
         setUp(perCall);
-        setUp(batched);
+        setUp(viaRun);
+    }
+
+    explicit TwinSystems(core::ModelKind kind)
+        : TwinSystems(core::SystemConfig::forModel(kind))
+    {
     }
 
     void
@@ -177,18 +281,58 @@ struct TwinSystems
         base = sys.state().segments.find(seg)->base();
     }
 
-    std::string
-    dump(core::System &sys)
-    {
-        std::ostringstream os;
-        sys.dumpStats(os);
-        return os.str();
-    }
-
     core::System perCall;
-    core::System batched;
+    core::System viaRun;
     vm::VAddr base;
 };
+
+/** Zipf loads over a cold 64-page heap (demand-map translation faults
+ * included) through both twins: bit-identical stats and traces. */
+void
+expectZipfTwinsMatch(TwinSystems &twins, u64 refs, u64 seed)
+{
+    wl::ZipfPageStream stream_a(twins.base, 64, 0.8, seed);
+    wl::ZipfPageStream stream_b(twins.base, 64, 0.8, seed);
+    Rng rng_a(seed);
+    Rng rng_b(seed);
+
+    u64 completed_per_call = 0;
+    const auto per_call_events = eventsOf([&] {
+        for (u64 i = 0; i < refs; ++i) {
+            completed_per_call += accessWithoutMemo(
+                twins.perCall, stream_a.next(rng_a), vm::AccessType::Load);
+        }
+    });
+    core::RunResult result;
+    const auto run_events = eventsOf([&] {
+        result =
+            twins.viaRun.run(stream_b, refs, rng_b, vm::AccessType::Load);
+    });
+
+    expectSameEvents(run_events, per_call_events);
+    EXPECT_EQ(result.completed, completed_per_call);
+    EXPECT_EQ(result.completed + result.failed, refs);
+    EXPECT_EQ(twins.viaRun.cycles().count(),
+              twins.perCall.cycles().count());
+    EXPECT_EQ(twins.viaRun.references.value(),
+              twins.perCall.references.value());
+    EXPECT_EQ(twins.viaRun.failedReferences.value(),
+              twins.perCall.failedReferences.value());
+    EXPECT_EQ(dumpOf(twins.viaRun), dumpOf(twins.perCall));
+}
+
+/** The zipf twins with the fault injector armed (5% of references
+ * perturbed: evictions, flushes, delayed fills, transient faults), so
+ * perturbations land on a live memo. */
+void
+expectInjectedTwinsMatch(core::SystemConfig config)
+{
+    config.faults.enabled = true;
+    config.faults.seed = 99;
+    config.faults.rate = 0.05;
+    TwinSystems twins(config);
+    expectZipfTwinsMatch(twins, 20'000, 5);
+}
 
 } // namespace
 
@@ -199,42 +343,18 @@ class BatchedRunTest : public ::testing::TestWithParam<core::ModelKind>
 TEST_P(BatchedRunTest, MatchesPerCallAccessCycleForCycle)
 {
     TwinSystems twins(GetParam());
-    constexpr u64 kRefs = 30'000;
-
-    // Identical streams and rngs on both sides; the systems start
-    // cold, so demand-map translation faults exercise the slow path.
-    wl::ZipfPageStream stream_a(twins.base, 64, 0.8, 11);
-    wl::ZipfPageStream stream_b(twins.base, 64, 0.8, 11);
-    Rng rng_a(11);
-    Rng rng_b(11);
-
-    u64 completed_per_call = 0;
-    for (u64 i = 0; i < kRefs; ++i)
-        completed_per_call += twins.perCall.access(stream_a.next(rng_a),
-                                                   vm::AccessType::Load);
-    const core::RunResult result =
-        twins.batched.run(stream_b, kRefs, rng_b, vm::AccessType::Load);
-
-    EXPECT_EQ(result.completed, completed_per_call);
-    EXPECT_EQ(result.completed + result.failed, kRefs);
-    EXPECT_EQ(twins.batched.cycles().count(),
-              twins.perCall.cycles().count());
-    EXPECT_EQ(twins.batched.references.value(),
-              twins.perCall.references.value());
-    EXPECT_EQ(twins.batched.failedReferences.value(),
-              twins.perCall.failedReferences.value());
-    EXPECT_EQ(twins.dump(twins.batched), twins.dump(twins.perCall));
+    expectZipfTwinsMatch(twins, 30'000, 11);
 }
 
 TEST_P(BatchedRunTest, MatchesPerCallWhenReferencesFail)
 {
     // Read-only heap + stores: every reference protection-faults and,
-    // with no segment server, becomes an exception -- the batch loop
-    // must take the slow path every time and count failures the same.
+    // with no segment server, becomes an exception; both sides must
+    // count failures the same.
     core::System per_call(core::SystemConfig::forModel(GetParam()));
-    core::System batched(core::SystemConfig::forModel(GetParam()));
+    core::System via_run(core::SystemConfig::forModel(GetParam()));
     vm::VAddr base;
-    for (core::System *sys : {&per_call, &batched}) {
+    for (core::System *sys : {&per_call, &via_run}) {
         const os::DomainId app = sys->kernel().createDomain("app");
         const vm::SegmentId seg = sys->kernel().createSegment("ro", 8);
         sys->kernel().attach(app, seg, vm::Access::Read);
@@ -246,13 +366,15 @@ TEST_P(BatchedRunTest, MatchesPerCallWhenReferencesFail)
     wl::SequentialStream stream_b(base, 8 * vm::kPageBytes, 64);
     Rng rng_a(3);
     Rng rng_b(3);
-    for (u64 i = 0; i < kRefs; ++i)
-        per_call.access(stream_a.next(rng_a), vm::AccessType::Store);
+    for (u64 i = 0; i < kRefs; ++i) {
+        accessWithoutMemo(per_call, stream_a.next(rng_a),
+                          vm::AccessType::Store);
+    }
     const core::RunResult result =
-        batched.run(stream_b, kRefs, rng_b, vm::AccessType::Store);
+        via_run.run(stream_b, kRefs, rng_b, vm::AccessType::Store);
     EXPECT_EQ(result.failed, kRefs);
-    EXPECT_EQ(batched.cycles().count(), per_call.cycles().count());
-    EXPECT_EQ(batched.failedReferences.value(),
+    EXPECT_EQ(via_run.cycles().count(), per_call.cycles().count());
+    EXPECT_EQ(via_run.failedReferences.value(),
               per_call.failedReferences.value());
 }
 
@@ -260,7 +382,7 @@ namespace
 {
 
 /** Replays a fixed address list (wrapping), so a test can plant a
- * faulting reference at an exact batch index. */
+ * faulting reference at an exact position. */
 class VectorStream : public wl::AddressStream
 {
   public:
@@ -282,40 +404,45 @@ class VectorStream : public wl::AddressStream
     std::size_t pos_ = 0;
 };
 
-/** Drive `vas` through both twins -- per-call on one, batched on the
- * other -- and require bit-identical simulated results. */
+/** Drive `vas` through both twins -- memo-free per-call on one,
+ * System::run on the other -- and require bit-identical stats and
+ * traces. */
 void
 expectTwinsMatch(TwinSystems &twins, const std::vector<vm::VAddr> &vas,
                  vm::AccessType type)
 {
     u64 completed_per_call = 0;
-    for (const vm::VAddr va : vas)
-        completed_per_call += twins.perCall.access(va, type);
+    const auto per_call_events = eventsOf([&] {
+        for (const vm::VAddr va : vas)
+            completed_per_call += accessWithoutMemo(twins.perCall, va, type);
+    });
     VectorStream stream(vas);
     Rng rng(1);
-    const core::RunResult result =
-        twins.batched.run(stream, vas.size(), rng, type);
+    core::RunResult result;
+    const auto run_events = eventsOf(
+        [&] { result = twins.viaRun.run(stream, vas.size(), rng, type); });
+    expectSameEvents(run_events, per_call_events);
     EXPECT_EQ(result.completed, completed_per_call);
-    EXPECT_EQ(twins.batched.cycles().count(),
+    EXPECT_EQ(twins.viaRun.cycles().count(),
               twins.perCall.cycles().count());
-    EXPECT_EQ(twins.dump(twins.batched), twins.dump(twins.perCall));
+    EXPECT_EQ(dumpOf(twins.viaRun), dumpOf(twins.perCall));
 }
 
 } // namespace
 
 TEST_P(BatchedRunTest, MatchesPerCallWithFaultAtChunkBoundaries)
 {
-    // System::run issues 512-reference chunks. A failing reference at
-    // index 0 (first of a chunk), 511 (last) and 512 (first of the
-    // next chunk) forces the batch driver to flush its accumulator
-    // and hand the fault to the kernel at every boundary position;
-    // cycles and stats must stay bit-identical to per-call.
+    // A failing store into a read-only page interrupts a warm
+    // same-page run at the first, the 511th and the 512th reference
+    // of a 1024-reference stream over 16 heap pages. The fault's
+    // excursion through the kernel must leave both twins identical,
+    // and the run side must resume with the memo still correct.
     for (const u64 fault_at : {u64{0}, u64{511}, u64{512}}) {
         core::System per_call(core::SystemConfig::forModel(GetParam()));
-        core::System batched(core::SystemConfig::forModel(GetParam()));
+        core::System via_run(core::SystemConfig::forModel(GetParam()));
         vm::VAddr heap{};
         vm::VAddr ro{};
-        for (core::System *sys : {&per_call, &batched}) {
+        for (core::System *sys : {&per_call, &via_run}) {
             const os::DomainId app = sys->kernel().createDomain("app");
             const vm::SegmentId heap_seg =
                 sys->kernel().createSegment("heap", 16);
@@ -336,23 +463,22 @@ TEST_P(BatchedRunTest, MatchesPerCallWithFaultAtChunkBoundaries)
         vas[fault_at] = ro;
 
         u64 completed_per_call = 0;
-        for (const vm::VAddr va : vas)
+        for (const vm::VAddr va : vas) {
             completed_per_call +=
-                per_call.access(va, vm::AccessType::Store);
+                accessWithoutMemo(per_call, va, vm::AccessType::Store);
+        }
         VectorStream stream(vas);
         Rng rng(1);
         const core::RunResult result =
-            batched.run(stream, kRefs, rng, vm::AccessType::Store);
+            via_run.run(stream, kRefs, rng, vm::AccessType::Store);
 
         EXPECT_EQ(result.failed, 1u) << "fault_at " << fault_at;
         EXPECT_EQ(result.completed, completed_per_call)
             << "fault_at " << fault_at;
-        EXPECT_EQ(batched.cycles().count(), per_call.cycles().count())
+        EXPECT_EQ(via_run.cycles().count(), per_call.cycles().count())
             << "fault_at " << fault_at;
-        std::ostringstream dump_b, dump_p;
-        batched.dumpStats(dump_b);
-        per_call.dumpStats(dump_p);
-        EXPECT_EQ(dump_b.str(), dump_p.str()) << "fault_at " << fault_at;
+        EXPECT_EQ(dumpOf(via_run), dumpOf(per_call))
+            << "fault_at " << fault_at;
     }
 }
 
@@ -362,7 +488,7 @@ namespace
 /** A server that services a write fault the expensive way: excursion
  * to another domain and back (an RPC), then a rights grant, then
  * retry. Everything the excursion touches -- domain switches, rights
- * changes -- must invalidate the batch driver's coalescing memo. */
+ * changes -- must drop the model's same-page memo. */
 class SwitchingServer : public os::SegmentServer
 {
   public:
@@ -392,16 +518,15 @@ class SwitchingServer : public os::SegmentServer
 TEST_P(BatchedRunTest, MatchesPerCallAcrossMidChunkDomainSwitches)
 {
     // Same-page stores over a read-only grant: every page's first
-    // store faults mid-chunk, the server RPCs to another domain,
-    // grants the right and retries. The batch restarts after each
-    // excursion with its memo dropped; replaying a pre-excursion
-    // resolution would diverge from per-call (or leak the old
-    // rights), so bit-identity here pins the invalidation.
+    // store faults, the server RPCs to another domain, grants the
+    // right and retries. Replaying a pre-excursion memo would diverge
+    // from the memo-free twin (or leak the old rights), so
+    // bit-identity here pins the memo drops in the hooks.
     core::System per_call(core::SystemConfig::forModel(GetParam()));
-    core::System batched(core::SystemConfig::forModel(GetParam()));
+    core::System via_run(core::SystemConfig::forModel(GetParam()));
     vm::VAddr base{};
     std::vector<std::unique_ptr<SwitchingServer>> servers;
-    for (core::System *sys : {&per_call, &batched}) {
+    for (core::System *sys : {&per_call, &via_run}) {
         const os::DomainId app = sys->kernel().createDomain("app");
         const os::DomainId srv = sys->kernel().createDomain("server");
         const vm::SegmentId seg = sys->kernel().createSegment("heap", 8);
@@ -420,59 +545,59 @@ TEST_P(BatchedRunTest, MatchesPerCallAcrossMidChunkDomainSwitches)
             vas.push_back(base + page * vm::kPageBytes);
 
     u64 completed_per_call = 0;
-    for (const vm::VAddr va : vas)
-        completed_per_call += per_call.access(va, vm::AccessType::Store);
+    for (const vm::VAddr va : vas) {
+        completed_per_call +=
+            accessWithoutMemo(per_call, va, vm::AccessType::Store);
+    }
     VectorStream stream(vas);
     Rng rng(1);
     const core::RunResult result =
-        batched.run(stream, vas.size(), rng, vm::AccessType::Store);
+        via_run.run(stream, vas.size(), rng, vm::AccessType::Store);
 
     EXPECT_EQ(result.failed, 0u);
     EXPECT_EQ(result.completed, completed_per_call);
-    EXPECT_EQ(batched.cycles().count(), per_call.cycles().count());
-    std::ostringstream dump_b, dump_p;
-    batched.dumpStats(dump_b);
-    per_call.dumpStats(dump_p);
-    EXPECT_EQ(dump_b.str(), dump_p.str());
+    EXPECT_EQ(via_run.cycles().count(), per_call.cycles().count());
+    EXPECT_EQ(dumpOf(via_run), dumpOf(per_call));
 }
 
 TEST_P(BatchedRunTest, RightsRevocationReachesAWarmMemo)
 {
-    // Warm the coalescing memo with same-page stores, revoke the
-    // write right, and store again: every post-revocation reference
-    // must deny. A memo that survived onSetPageRights would keep
-    // completing stores the canonical state forbids.
+    // Warm the memo with same-page stores, revoke the write right,
+    // and store again: every post-revocation reference must deny. A
+    // memo that survived onSetPageRights would keep completing stores
+    // the canonical state forbids.
     TwinSystems twins(GetParam());
     const std::vector<vm::VAddr> warm(64, twins.base);
     expectTwinsMatch(twins, warm, vm::AccessType::Store);
 
-    const os::DomainId app = twins.batched.kernel().currentDomain();
+    const os::DomainId app = twins.viaRun.kernel().currentDomain();
     twins.perCall.kernel().setPageRights(app, vm::pageOf(twins.base),
                                          vm::Access::Read);
-    twins.batched.kernel().setPageRights(app, vm::pageOf(twins.base),
-                                         vm::Access::Read);
+    twins.viaRun.kernel().setPageRights(app, vm::pageOf(twins.base),
+                                        vm::Access::Read);
 
     VectorStream stream(std::vector<vm::VAddr>(64, twins.base));
     Rng rng(1);
     const core::RunResult after =
-        twins.batched.run(stream, 64, rng, vm::AccessType::Store);
+        twins.viaRun.run(stream, 64, rng, vm::AccessType::Store);
     EXPECT_EQ(after.failed, 64u);
     EXPECT_EQ(after.completed, 0u);
-    const std::vector<vm::VAddr> denied(64, twins.base);
-    for (const vm::VAddr va : denied)
-        EXPECT_FALSE(twins.perCall.access(va, vm::AccessType::Store));
-    EXPECT_EQ(twins.dump(twins.batched), twins.dump(twins.perCall));
+    for (int i = 0; i < 64; ++i) {
+        EXPECT_FALSE(accessWithoutMemo(twins.perCall, twins.base,
+                                       vm::AccessType::Store));
+    }
+    EXPECT_EQ(dumpOf(twins.viaRun), dumpOf(twins.perCall));
 }
 
 TEST_P(BatchedRunTest, DetachReachesAWarmMemo)
 {
     // Same shape with the whole grant revoked: detach mid-stream.
     core::System per_call(core::SystemConfig::forModel(GetParam()));
-    core::System batched(core::SystemConfig::forModel(GetParam()));
+    core::System via_run(core::SystemConfig::forModel(GetParam()));
     vm::VAddr base{};
     vm::SegmentId seg{};
     os::DomainId app{};
-    for (core::System *sys : {&per_call, &batched}) {
+    for (core::System *sys : {&per_call, &via_run}) {
         app = sys->kernel().createDomain("app");
         seg = sys->kernel().createSegment("heap", 8);
         sys->kernel().attach(app, seg, vm::Access::ReadWrite);
@@ -482,46 +607,43 @@ TEST_P(BatchedRunTest, DetachReachesAWarmMemo)
     const std::vector<vm::VAddr> warm(64, base);
     u64 completed = 0;
     for (const vm::VAddr va : warm)
-        completed += per_call.access(va, vm::AccessType::Load);
+        completed += accessWithoutMemo(per_call, va, vm::AccessType::Load);
     {
         VectorStream stream(warm);
         Rng rng(1);
         const core::RunResult result =
-            batched.run(stream, warm.size(), rng, vm::AccessType::Load);
+            via_run.run(stream, warm.size(), rng, vm::AccessType::Load);
         EXPECT_EQ(result.completed, completed);
     }
 
     per_call.kernel().detach(app, seg);
-    batched.kernel().detach(app, seg);
+    via_run.kernel().detach(app, seg);
 
     VectorStream stream(warm);
     Rng rng(1);
     const core::RunResult after =
-        batched.run(stream, 64, rng, vm::AccessType::Load);
+        via_run.run(stream, 64, rng, vm::AccessType::Load);
     EXPECT_EQ(after.completed, 0u);
     EXPECT_EQ(after.failed, 64u);
     for (const vm::VAddr va : warm)
-        EXPECT_FALSE(per_call.access(va, vm::AccessType::Load));
-    std::ostringstream dump_b, dump_p;
-    batched.dumpStats(dump_b);
-    per_call.dumpStats(dump_p);
-    EXPECT_EQ(dump_b.str(), dump_p.str());
+        EXPECT_FALSE(accessWithoutMemo(per_call, va, vm::AccessType::Load));
+    EXPECT_EQ(dumpOf(via_run), dumpOf(per_call));
 }
 
 TEST_P(BatchedRunTest, DirectPurgePlusMemoInvalidateStaysIdentical)
 {
     // The multi-core ack path purges a core's structures directly
-    // (no kernel hook runs) and then calls invalidateBatchMemo().
-    // Mirror that sequence on both twins: after the purge the next
-    // batch must re-probe and refill exactly like per-call instead
-    // of replaying the pre-purge resolution from the memo.
+    // (no kernel hook runs) and then calls dropMemo(). Mirror that
+    // sequence on both twins: after the purge the next run must
+    // re-probe and refill exactly like the memo-free twin instead of
+    // replaying the pre-purge resolution from the memo.
     TwinSystems twins(GetParam());
     const std::vector<vm::VAddr> warm(64, twins.base);
     expectTwinsMatch(twins, warm, vm::AccessType::Load);
 
-    const os::DomainId app = twins.batched.kernel().currentDomain();
+    const os::DomainId app = twins.viaRun.kernel().currentDomain();
     const vm::Vpn first = vm::pageOf(twins.base);
-    for (core::System *sys : {&twins.perCall, &twins.batched}) {
+    for (core::System *sys : {&twins.perCall, &twins.viaRun}) {
         if (auto *plb = sys->plbSystem()) {
             plb->plb().purgeRange(app, first, 64);
         } else if (auto *pg = sys->pageGroupSystem()) {
@@ -534,7 +656,7 @@ TEST_P(BatchedRunTest, DirectPurgePlusMemoInvalidateStaysIdentical)
             sys->conventionalSystem()->tlb().purgeRange(std::nullopt,
                                                         first, 64);
         }
-        sys->model().invalidateBatchMemo();
+        sys->model().dropMemo();
     }
 
     expectTwinsMatch(twins, warm, vm::AccessType::Load);
@@ -542,40 +664,7 @@ TEST_P(BatchedRunTest, DirectPurgePlusMemoInvalidateStaysIdentical)
 
 TEST_P(BatchedRunTest, FaultInjectedRunMatchesPerCall)
 {
-    // With the fault injector armed the batch driver must take the
-    // exact per-reference path (perturbations are scheduled per
-    // reference); A/B the two loops under an active campaign.
-    core::SystemConfig config = core::SystemConfig::forModel(GetParam());
-    config.faults.enabled = true;
-    config.faults.seed = 99;
-    config.faults.rate = 0.05;
-    core::System per_call(config);
-    core::System batched(config);
-    vm::VAddr base{};
-    for (core::System *sys : {&per_call, &batched}) {
-        const os::DomainId app = sys->kernel().createDomain("app");
-        const vm::SegmentId seg = sys->kernel().createSegment("heap", 64);
-        sys->kernel().attach(app, seg, vm::Access::ReadWrite);
-        sys->kernel().switchTo(app);
-        base = sys->state().segments.find(seg)->base();
-    }
-    constexpr u64 kRefs = 20'000;
-    wl::ZipfPageStream stream_a(base, 64, 0.8, 5);
-    wl::ZipfPageStream stream_b(base, 64, 0.8, 5);
-    Rng rng_a(5);
-    Rng rng_b(5);
-    u64 completed = 0;
-    for (u64 i = 0; i < kRefs; ++i)
-        completed += per_call.access(stream_a.next(rng_a),
-                                     vm::AccessType::Load);
-    const core::RunResult result =
-        batched.run(stream_b, kRefs, rng_b, vm::AccessType::Load);
-    EXPECT_EQ(result.completed, completed);
-    EXPECT_EQ(batched.cycles().count(), per_call.cycles().count());
-    std::ostringstream dump_b, dump_p;
-    batched.dumpStats(dump_b);
-    per_call.dumpStats(dump_p);
-    EXPECT_EQ(dump_b.str(), dump_p.str());
+    expectInjectedTwinsMatch(core::SystemConfig::forModel(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -596,3 +685,48 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return "unknown";
     });
+
+// The BatchedRunTest twins at plb_clusters=4. A memo hit must count
+// at bank and cluster level exactly as ClusterPlb::lookup does, so the
+// bank stats of a run equal those of memo-free per-call issue.
+
+TEST(ClusteredPlbRunTest, MatchesPerCallAccessCycleForCycle)
+{
+    TwinSystems twins(clusteredPlbConfig());
+    expectZipfTwinsMatch(twins, 30'000, 11);
+}
+
+TEST(ClusteredPlbRunTest, SameLineRunsCountAtBankLevel)
+{
+    // 64 pages x 8 lines of loads, untraced: each page's first load
+    // demand-maps and retries, the other seven are memo hits on the
+    // run side.
+    TwinSystems twins(clusteredPlbConfig());
+    std::vector<vm::VAddr> vas;
+    for (u64 page = 0; page < 64; ++page)
+        for (u64 line = 0; line < 8; ++line)
+            vas.push_back(twins.base + page * vm::kPageBytes + line * 64);
+    for (const vm::VAddr va : vas)
+        accessWithoutMemo(twins.perCall, va, vm::AccessType::Load);
+    VectorStream stream(vas);
+    Rng rng(1);
+    twins.viaRun.run(stream, vas.size(), rng, vm::AccessType::Load);
+    EXPECT_EQ(dumpOf(twins.viaRun), dumpOf(twins.perCall));
+
+    const hw::ClusterPlb &plb = *twins.viaRun.plbSystem()->clusterPlb();
+    u64 bank_lookups = 0;
+    u64 bank_hits = 0;
+    for (unsigned i = 0; i < plb.clusters(); ++i) {
+        bank_lookups += plb.bank(i).lookups.value();
+        bank_hits += plb.bank(i).hits.value();
+    }
+    EXPECT_EQ(plb.lookups.value(), 64u * 8 + 64);
+    EXPECT_EQ(plb.hits.value(), 64u * 8);
+    EXPECT_EQ(bank_lookups, plb.lookups.value());
+    EXPECT_EQ(bank_hits, plb.hits.value());
+}
+
+TEST(ClusteredPlbRunTest, FaultInjectedRunMatchesPerCall)
+{
+    expectInjectedTwinsMatch(clusteredPlbConfig());
+}
