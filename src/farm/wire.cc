@@ -13,30 +13,6 @@ namespace
 
 constexpr char kFrameTag[] = "farm.msg";
 
-/** Byte-string bridge over SnapWriter's string encoding. */
-void
-putBytes(snap::SnapWriter &w, const std::vector<u8> &bytes)
-{
-    w.putString(std::string_view(
-        reinterpret_cast<const char *>(bytes.data()), bytes.size()));
-}
-
-std::vector<u8>
-getBytes(snap::SnapReader &r)
-{
-    const std::string s = r.getString();
-    return std::vector<u8>(s.begin(), s.end());
-}
-
-u64
-peekLe64(const u8 *in)
-{
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(in[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
 
 std::vector<u8>
@@ -61,7 +37,7 @@ encodeMessage(const Message &message)
         w.put64(message.refsDone);
         w.put64(message.completed);
         w.put64(message.failed);
-        putBytes(w, message.image);
+        w.putBytes(message.image);
         break;
       case MsgKind::Preempt:
         w.put64(message.cell);
@@ -72,7 +48,7 @@ encodeMessage(const Message &message)
         w.put64(message.completed);
         w.put64(message.failed);
         w.putBool(message.stopped);
-        putBytes(w, message.image);
+        w.putBytes(message.image);
         break;
       case MsgKind::Done:
         w.put64(message.cell);
@@ -124,7 +100,7 @@ decodeMessage(const std::vector<u8> &frame)
         message.refsDone = r.get64();
         message.completed = r.get64();
         message.failed = r.get64();
-        message.image = getBytes(r);
+        message.image = r.getBytes();
         break;
       case MsgKind::Preempt:
         message.cell = r.get64();
@@ -135,7 +111,7 @@ decodeMessage(const std::vector<u8> &frame)
         message.completed = r.get64();
         message.failed = r.get64();
         message.stopped = r.getBool();
-        message.image = getBytes(r);
+        message.image = r.getBytes();
         break;
       case MsgKind::Done:
         message.cell = r.get64();
@@ -188,7 +164,7 @@ FrameBuffer::next(std::vector<u8> &frame)
         error_ = "frame header has bad magic; framing lost";
         return -1;
     }
-    const u64 length = peekLe64(head + 16);
+    const u64 length = snap::loadLe<u64>(head + 16);
     if (length > kMaxFrameBytes - snap::kHeaderBytes) {
         poisoned_ = true;
         error_ = "frame header claims " + std::to_string(length) +
@@ -263,7 +239,7 @@ readFrame(int fd, std::vector<u8> &frame, std::string &err)
         err = "frame header has bad magic";
         return ReadStatus::Error;
     }
-    const u64 length = peekLe64(frame.data() + 16);
+    const u64 length = snap::loadLe<u64>(frame.data() + 16);
     if (length > kMaxFrameBytes - snap::kHeaderBytes) {
         err = "frame header claims " + std::to_string(length) +
               " payload bytes, over the ceiling";

@@ -26,6 +26,7 @@
 
 #include <bit>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,8 +44,12 @@ constexpr char kMagic[8] = {'S', 'A', 'S', 'O', 'S', 'N', 'A', 'P'};
  * v2: frame refcounts in the allocator image, CoW page set in the
  * kernel image, shared frames allowed in the page table.
  * v3: protection-key model (key tables, key-permission register file)
- * and the kprRefill/keyAssign cost constants in config signatures. */
-constexpr u32 kFormatVersion = 3;
+ * and the kprRefill/keyAssign cost constants in config signatures.
+ * v4: the frame allocator writes the refcounts below its never-used
+ * run and the stack of freed frames, not an allocation bitmap and the
+ * explicit free list over its whole capacity, so images scale with
+ * the frames a machine touched. */
+constexpr u32 kFormatVersion = 4;
 
 /** Envelope size: magic[8] version[4] reserved[4] length[8] fnv[8]. */
 constexpr std::size_t kHeaderBytes = 32;
@@ -67,6 +72,26 @@ fnv1a(const u8 *data, std::size_t size)
     return hash;
 }
 
+/** Little-endian load of a fixed-width unsigned field. */
+template <typename T>
+inline T
+loadLe(const u8 *in)
+{
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(static_cast<T>(in[i]) << (8 * i));
+    return v;
+}
+
+/** Little-endian store of a fixed-width unsigned field. */
+template <typename T>
+inline void
+storeLe(u8 *out, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        out[i] = static_cast<u8>(v >> (8 * i));
+}
+
 /**
  * Non-fatal envelope validation, for images that arrive over an
  * untrusted transport (the sweep farm's worker pipes) and must be
@@ -81,31 +106,19 @@ fnv1a(const u8 *data, std::size_t size)
 inline std::string
 preflightEnvelope(const std::vector<u8> &image)
 {
-    const auto readLe32 = [](const u8 *in) {
-        u32 v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<u32>(in[i]) << (8 * i);
-        return v;
-    };
-    const auto readLe64 = [](const u8 *in) {
-        u64 v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<u64>(in[i]) << (8 * i);
-        return v;
-    };
     if (image.size() > kMaxImageBytes)
         return "image larger than the maximum";
     if (image.size() < kHeaderBytes)
         return "image smaller than the header";
     if (std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0)
         return "bad magic";
-    if (readLe32(image.data() + 8) != kFormatVersion)
+    if (loadLe<u32>(image.data() + 8) != kFormatVersion)
         return "unsupported format version";
-    if (readLe32(image.data() + 12) != 0)
+    if (loadLe<u32>(image.data() + 12) != 0)
         return "nonzero reserved header field";
-    if (readLe64(image.data() + 16) != image.size() - kHeaderBytes)
+    if (loadLe<u64>(image.data() + 16) != image.size() - kHeaderBytes)
         return "length field does not match the payload";
-    if (readLe64(image.data() + 24) !=
+    if (loadLe<u64>(image.data() + 24) !=
         fnv1a(image.data() + kHeaderBytes, image.size() - kHeaderBytes))
         return "checksum mismatch";
     return {};
@@ -125,22 +138,19 @@ class SnapWriter
     void
     put16(u16 v)
     {
-        put8(static_cast<u8>(v));
-        put8(static_cast<u8>(v >> 8));
+        putLe(v);
     }
 
     void
     put32(u32 v)
     {
-        put16(static_cast<u16>(v));
-        put16(static_cast<u16>(v >> 16));
+        putLe(v);
     }
 
     void
     put64(u64 v)
     {
-        put32(static_cast<u32>(v));
-        put32(static_cast<u32>(v >> 32));
+        putLe(v);
     }
 
     void
@@ -158,9 +168,17 @@ class SnapWriter
     void
     putString(std::string_view s)
     {
-        SASOS_ASSERT(s.size() <= 0xFFFFFFFFu, "string too long");
-        put32(static_cast<u32>(s.size()));
-        payload_.insert(payload_.end(), s.begin(), s.end());
+        putBytes(std::span<const u8>(
+            reinterpret_cast<const u8 *>(s.data()), s.size()));
+    }
+
+    /** A byte string, in the same encoding as putString. */
+    void
+    putBytes(std::span<const u8> bytes)
+    {
+        SASOS_ASSERT(bytes.size() <= 0xFFFFFFFFu, "string too long");
+        put32(static_cast<u32>(bytes.size()));
+        payload_.insert(payload_.end(), bytes.begin(), bytes.end());
     }
 
     /** Section boundary: marker byte + name, checked by expectTag. */
@@ -187,10 +205,10 @@ class SnapWriter
         const u32 reserved = 0;
         const u64 length = payload_.size();
         const u64 checksum = fnv1a(payload_.data(), payload_.size());
-        writeLe32(image.data() + 8, version);
-        writeLe32(image.data() + 12, reserved);
-        writeLe64(image.data() + 16, length);
-        writeLe64(image.data() + 24, checksum);
+        storeLe(image.data() + 8, version);
+        storeLe(image.data() + 12, reserved);
+        storeLe(image.data() + 16, length);
+        storeLe(image.data() + 24, checksum);
         if (!payload_.empty())
             std::memcpy(image.data() + kHeaderBytes, payload_.data(),
                         payload_.size());
@@ -198,18 +216,14 @@ class SnapWriter
     }
 
   private:
-    static void
-    writeLe32(u8 *out, u32 v)
+    /** Append v little-endian, in one resize. */
+    template <typename T>
+    void
+    putLe(T v)
     {
-        for (int i = 0; i < 4; ++i)
-            out[i] = static_cast<u8>(v >> (8 * i));
-    }
-
-    static void
-    writeLe64(u8 *out, u64 v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out[i] = static_cast<u8>(v >> (8 * i));
+        const std::size_t at = payload_.size();
+        payload_.resize(at + sizeof(T));
+        storeLe(payload_.data() + at, v);
     }
 
     std::vector<u8> payload_;
@@ -221,35 +235,23 @@ class SnapWriter
 class SnapReader
 {
   public:
-    explicit SnapReader(std::vector<u8> image) : image_(std::move(image))
+    /** Reads the caller's bytes in place; they must outlive the
+     * reader. */
+    explicit SnapReader(std::span<const u8> image) : image_(image)
     {
-        if (image_.size() > kMaxImageBytes)
-            SASOS_FATAL("snapshot larger than ", kMaxImageBytes, " bytes");
-        if (image_.size() < kHeaderBytes)
-            SASOS_FATAL("snapshot truncated: ", image_.size(),
-                        " bytes is smaller than the ", kHeaderBytes,
-                        "-byte header");
-        if (std::memcmp(image_.data(), kMagic, sizeof(kMagic)) != 0)
-            SASOS_FATAL("not a snapshot: bad magic");
-        const u32 version = readLe32(image_.data() + 8);
-        if (version != kFormatVersion)
-            SASOS_FATAL("unsupported snapshot version ", version,
-                        " (this build reads version ", kFormatVersion,
-                        ")");
-        if (readLe32(image_.data() + 12) != 0)
-            SASOS_FATAL("corrupt snapshot: nonzero reserved header field");
-        const u64 length = readLe64(image_.data() + 16);
-        if (length != image_.size() - kHeaderBytes)
-            SASOS_FATAL("corrupt snapshot: header claims ", length,
-                        " payload bytes, file carries ",
-                        image_.size() - kHeaderBytes);
-        const u64 checksum = readLe64(image_.data() + 24);
-        const u64 actual =
-            fnv1a(image_.data() + kHeaderBytes, image_.size() - kHeaderBytes);
-        if (checksum != actual)
-            SASOS_FATAL("corrupt snapshot: checksum mismatch");
-        pos_ = kHeaderBytes;
+        validate();
     }
+
+    /** Takes ownership of a temporary image. */
+    explicit SnapReader(std::vector<u8> &&image)
+        : owned_(std::move(image)), image_(owned_)
+    {
+        validate();
+    }
+
+    // image_ may point into owned_.
+    SnapReader(const SnapReader &) = delete;
+    SnapReader &operator=(const SnapReader &) = delete;
 
     u8
     get8()
@@ -261,25 +263,19 @@ class SnapReader
     u16
     get16()
     {
-        const u16 lo = get8();
-        const u16 hi = get8();
-        return static_cast<u16>(lo | (hi << 8));
+        return getLe<u16>();
     }
 
     u32
     get32()
     {
-        const u32 lo = get16();
-        const u32 hi = get16();
-        return lo | (hi << 16);
+        return getLe<u32>();
     }
 
     u64
     get64()
     {
-        const u64 lo = get32();
-        const u64 hi = get32();
-        return lo | (hi << 32);
+        return getLe<u64>();
     }
 
     bool
@@ -301,12 +297,17 @@ class SnapReader
     std::string
     getString()
     {
-        const u32 size = get32();
-        need(size);
-        std::string s(reinterpret_cast<const char *>(image_.data() + pos_),
-                      size);
-        pos_ += size;
-        return s;
+        const std::span<const u8> bytes = getByteSpan();
+        return std::string(reinterpret_cast<const char *>(bytes.data()),
+                           bytes.size());
+    }
+
+    /** A byte string written by putBytes (or putString). */
+    std::vector<u8>
+    getBytes()
+    {
+        const std::span<const u8> bytes = getByteSpan();
+        return std::vector<u8>(bytes.begin(), bytes.end());
     }
 
     /** Read a section tag and fail unless it is `name` -- the
@@ -317,10 +318,12 @@ class SnapReader
         if (get8() != kTagMarker)
             SASOS_FATAL("corrupt snapshot: expected section '", name,
                         "'");
-        const std::string tag = getString();
-        if (tag != name)
+        const std::span<const u8> tag = getByteSpan();
+        const std::string_view found(
+            reinterpret_cast<const char *>(tag.data()), tag.size());
+        if (found != name)
             SASOS_FATAL("corrupt snapshot: expected section '", name,
-                        "', found '", tag, "'");
+                        "', found '", found, "'");
     }
 
     /**
@@ -355,22 +358,57 @@ class SnapReader
     }
 
   private:
-    static u32
-    readLe32(const u8 *in)
+    void
+    validate()
     {
-        u32 v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<u32>(in[i]) << (8 * i);
+        if (image_.size() > kMaxImageBytes)
+            SASOS_FATAL("snapshot larger than ", kMaxImageBytes, " bytes");
+        if (image_.size() < kHeaderBytes)
+            SASOS_FATAL("snapshot truncated: ", image_.size(),
+                        " bytes is smaller than the ", kHeaderBytes,
+                        "-byte header");
+        if (std::memcmp(image_.data(), kMagic, sizeof(kMagic)) != 0)
+            SASOS_FATAL("not a snapshot: bad magic");
+        const u32 version = loadLe<u32>(image_.data() + 8);
+        if (version != kFormatVersion)
+            SASOS_FATAL("unsupported snapshot version ", version,
+                        " (this build reads version ", kFormatVersion,
+                        ")");
+        if (loadLe<u32>(image_.data() + 12) != 0)
+            SASOS_FATAL("corrupt snapshot: nonzero reserved header field");
+        const u64 length = loadLe<u64>(image_.data() + 16);
+        if (length != image_.size() - kHeaderBytes)
+            SASOS_FATAL("corrupt snapshot: header claims ", length,
+                        " payload bytes, file carries ",
+                        image_.size() - kHeaderBytes);
+        const u64 checksum = loadLe<u64>(image_.data() + 24);
+        const u64 actual =
+            fnv1a(image_.data() + kHeaderBytes, image_.size() - kHeaderBytes);
+        if (checksum != actual)
+            SASOS_FATAL("corrupt snapshot: checksum mismatch");
+        pos_ = kHeaderBytes;
+    }
+
+    /** One bounds check per fixed-width field. */
+    template <typename T>
+    T
+    getLe()
+    {
+        need(sizeof(T));
+        const T v = loadLe<T>(image_.data() + pos_);
+        pos_ += sizeof(T);
         return v;
     }
 
-    static u64
-    readLe64(const u8 *in)
+    /** A u32 length and that many bytes, viewed in place. */
+    std::span<const u8>
+    getByteSpan()
     {
-        u64 v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<u64>(in[i]) << (8 * i);
-        return v;
+        const u32 size = get32();
+        need(size);
+        const std::span<const u8> bytes = image_.subspan(pos_, size);
+        pos_ += size;
+        return bytes;
     }
 
     void
@@ -381,7 +419,8 @@ class SnapReader
                         remaining(), " left");
     }
 
-    std::vector<u8> image_;
+    std::vector<u8> owned_;
+    std::span<const u8> image_;
     std::size_t pos_ = kHeaderBytes;
 };
 

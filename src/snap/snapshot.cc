@@ -70,6 +70,8 @@ Snapshotter::finish() const
 
 Restorer::Restorer(const Snapshot &image) : reader_(image.bytes) {}
 
+Restorer::Restorer(Snapshot &&image) : reader_(std::move(image.bytes)) {}
+
 void
 Restorer::restore(core::System &system)
 {

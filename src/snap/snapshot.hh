@@ -84,8 +84,12 @@ class Snapshotter
 class Restorer
 {
   public:
-    /** Validates the envelope; malformed images are clean fatals. */
+    /** Validates the envelope; malformed images are clean fatals.
+     * Reads the image in place, so it must outlive the Restorer. */
     explicit Restorer(const Snapshot &image);
+
+    /** Same, taking ownership of a temporary image. */
+    explicit Restorer(Snapshot &&image);
 
     /** @name Components (same order as the Snapshotter's add calls) */
     /// @{

@@ -30,6 +30,13 @@ namespace sasos::vm
  * free() is the exclusive-owner form: it asserts the caller held the
  * only reference. Double-free and foreign-free are simulator bugs and
  * panic.
+ *
+ * The state is sized by the frames a machine has touched, not by its
+ * capacity. Frames at or above the high-water mark (the size of
+ * refCounts_) were never handed out and are implicit; a frame below
+ * it is allocated exactly when its refcount is non-zero, and freed
+ * frames are stacked on top of the never-used run. Allocation order
+ * is that of one explicit free list, lowest never-used frame on top.
  */
 class FrameAllocator
 {
@@ -53,35 +60,29 @@ class FrameAllocator
     /** References held on a frame (0 when unallocated). */
     u32 refCount(Pfn pfn) const;
 
-    bool isAllocated(Pfn pfn) const;
+    bool isAllocated(Pfn pfn) const { return refCount(pfn) != 0; }
 
-    u64 capacity() const { return allocated_.size(); }
+    u64 capacity() const { return capacity_; }
     u64 inUse() const { return inUse_; }
-    u64 available() const { return capacity() - inUse_; }
+    u64 available() const { return capacity_ - inUse_; }
 
-    /** @name Snapshot hooks (free-list order decides future frame
-     * assignment, so it is serialized verbatim and cross-checked
-     * against the allocation bitmap on load; refcounts ride along
-     * for the allocated frames) */
+    /** @name Snapshot hooks (the image is the refcounts below the
+     * never-used run plus the stack of freed frames, so it grows with
+     * the frames touched and is a function of the allocation order
+     * alone; load cross-checks the stack against the refcounts) */
     /// @{
     void save(snap::SnapWriter &w) const;
     void load(snap::SnapReader &r);
     /// @}
 
   private:
-    std::vector<bool> allocated_;
+    u64 capacity_;
+    /** One count per frame below the high-water mark; frames
+     * [refCounts_.size(), capacity_) are the never-used run, handed
+     * out upwards once the stack is empty. */
     std::vector<u32> refCounts_;
-    /**
-     * The free list is a bottom run of consecutive frames
-     * [nextFresh_, capacity), highest frame lowest (at construction,
-     * every frame), with the other free frames (freeList_) stacked on
-     * top. Only the stack is stored: the run hands out nextFresh_
-     * upwards once the stack is empty, exactly as the explicit list
-     * would, without an 8-byte slot per frame of a machine that
-     * touches few of them.
-     */
+    /** Freed frames below the high-water mark; back is next out. */
     std::vector<u64> freeList_;
-    u64 nextFresh_ = 0;
     u64 inUse_ = 0;
 };
 

@@ -10,13 +10,15 @@
  * the four-core multi-core engine (through a file round trip).
  *
  * Around it: snapio primitive round trips, corrupt-image rejection
- * (truncation, bit flips, bad magic/version, hostile lengths, config
- * mismatches -- all clean fatals, rerouted into exceptions here),
- * the protection-key model's kernel key tables (round trip and
- * rejection), stateful stream resume, warm-start sweep identity, the
- * restored counters vs. obs event-stream reconciliation, and a
- * checked-in image at the current format version guarding
- * compatibility (SASOS_GOLDEN_REGEN=1 regenerates it).
+ * (truncation, bit flips, bad magic, a previous or future version,
+ * hostile lengths, config mismatches -- all clean fatals, rerouted
+ * into exceptions here), the protection-key model's kernel key tables
+ * (round trip and rejection), stateful stream resume, warm-start
+ * sweep identity, the restored counters vs. obs event-stream
+ * reconciliation, a checked-in v4 image guarding compatibility
+ * (SASOS_GOLDEN_REGEN=1 regenerates it), and crafted replacement,
+ * tag and frame-allocator sections, one death test per load-time
+ * check.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +39,7 @@
 #include "snap/snapshot.hh"
 #include "farm/campaign.hh"
 #include "hw/assoc_cache.hh"
+#include "vm/phys_mem.hh"
 #include "workload/address_stream.hh"
 
 #include "temp_path.hh"
@@ -645,6 +648,27 @@ TEST(SnapCorruptionTest, FutureVersionIsRejected)
     expectRejected(valid);
 }
 
+TEST(SnapCorruptionTest, PreviousVersionIsRejected)
+{
+    ScopedFatalThrow bridge;
+    snap::Snapshot old = smallImage();
+    const u32 previous = snap::kFormatVersion - 1;
+    old.bytes[8] = static_cast<u8>(previous); // little-endian low byte
+    try {
+        snap::Restorer restorer(old);
+        FAIL() << "a version " << previous << " image was accepted";
+    } catch (const FatalRejection &rejection) {
+        const std::string message = rejection.what();
+        EXPECT_NE(message.find("version " + std::to_string(previous)),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("reads version " +
+                               std::to_string(snap::kFormatVersion)),
+                  std::string::npos)
+            << message;
+    }
+}
+
 TEST(SnapCorruptionTest, HostileLengthIsRejected)
 {
     ScopedFatalThrow bridge;
@@ -949,16 +973,17 @@ TEST(SnapOptionsTest, FromOptions)
 // Format compatibility: the checked-in image at the current format
 // version must keep loading. (Older images are rejected by the
 // version check: v2 added frame refcounts and the CoW page set, v3
-// the protection-key model's kernel key tables.)
+// the protection-key model's kernel key tables, v4 the frame
+// allocator's touched-frames encoding.)
 
-TEST(SnapGoldenTest, V3ImageStillRestores)
+TEST(SnapGoldenTest, V4ImageStillRestores)
 {
     // The golden recipe: a protection-key machine (so the checked-in
-    // image exercises the v3 key tables) shrunk along its bulky axes
-    // (free-frame list, cache line maps) so the image stays a few
-    // tens of KB; 64-page heap, 2000 zipf references at seed 42,
-    // then System + Rng snapshotted.
-    const std::string path = dataPath("golden_v3.snap");
+    // image exercises the key tables) shrunk along its bulky axes
+    // (frame pool, cache line maps) so the image stays a few tens of
+    // KB; 64-page heap, 2000 zipf references at seed 42, then System
+    // + Rng snapshotted.
+    const std::string path = dataPath("golden_v4.snap");
     core::SystemConfig config = core::SystemConfig::pkeySystem();
     config.frames = 1024;
     config.cache.sizeBytes = 8 * 1024;
@@ -993,8 +1018,7 @@ TEST(SnapGoldenTest, V3ImageStillRestores)
     EXPECT_EQ(sys.references.value(), prefix);
 
     // Restoring rebuilds host-side state only (tag indexes, recency
-    // lists, the frame pool's implicit run), so saving again gives
-    // back the checked-in bytes.
+    // lists), so saving again gives back the checked-in bytes.
     snap::Snapshotter resaver;
     resaver.add(sys);
     resaver.add(rng);
@@ -1095,4 +1119,128 @@ TEST(SnapAssocDeathTest, DuplicateTagIsFatalInNarrowAndIndexedSets)
                      "duplicate tag in cache set 0")
             << ways << " ways";
     }
+}
+
+// ---------------------------------------------------------------------
+// Crafted frame-allocator images: one per fatal in
+// FrameAllocator::load. The base image (8 frames; frames 0 and 2 held,
+// 1 and 3 stacked, 4..7 never used) loads cleanly.
+
+namespace
+{
+
+struct FramesImage
+{
+    u64 capacity = 8;
+    u64 inUse = 2;
+    u64 run = 4;
+    std::vector<u32> refCounts = {1, 0, 2, 0};
+    std::vector<u64> stacked = {1, 3};
+};
+
+std::vector<u8>
+framesImage(const FramesImage &f)
+{
+    snap::SnapWriter w;
+    w.putTag("frames");
+    w.put64(f.capacity);
+    w.put64(f.inUse);
+    w.put64(f.run);
+    for (u32 refs : f.refCounts)
+        w.put32(refs);
+    w.put64(f.stacked.size());
+    for (u64 frame : f.stacked)
+        w.put64(frame);
+    return w.seal();
+}
+
+void
+loadFrames(const FramesImage &f, u64 capacity = 8)
+{
+    vm::FrameAllocator frames(capacity);
+    snap::SnapReader r(framesImage(f));
+    frames.load(r);
+    r.finish();
+}
+
+} // namespace
+
+TEST(SnapFramesTest, BaseImageLoadsAndResaves)
+{
+    const std::vector<u8> image = framesImage(FramesImage{});
+    vm::FrameAllocator frames(8);
+    snap::SnapReader r(image);
+    frames.load(r);
+    r.finish();
+    EXPECT_EQ(frames.inUse(), 2u);
+    EXPECT_EQ(frames.refCount(vm::Pfn(2)), 2u);
+    snap::SnapWriter w;
+    frames.save(w);
+    EXPECT_EQ(w.seal(), image);
+    // The stack comes out top first, then the never-used run.
+    for (u64 expect : {3, 1, 4, 5})
+        EXPECT_EQ(frames.allocate(), vm::Pfn(expect));
+}
+
+TEST(SnapFramesDeathTest, CapacityMismatchIsFatal)
+{
+    EXPECT_DEATH(loadFrames(FramesImage{}, 16),
+                 "8 physical frames, this configuration has 16");
+}
+
+TEST(SnapFramesDeathTest, InUseMismatchIsFatal)
+{
+    FramesImage f;
+    f.inUse = 3;
+    EXPECT_DEATH(loadFrames(f), "claims 3 frames in use but holds 2");
+}
+
+TEST(SnapFramesDeathTest, RunBeyondCapacityIsFatal)
+{
+    FramesImage f;
+    f.run = 9;
+    f.refCounts = {1, 0, 2, 0, 0, 0, 0, 0, 0};
+    EXPECT_DEATH(loadFrames(f),
+                 "never-used run starts at frame 9 beyond capacity 8");
+}
+
+TEST(SnapFramesDeathTest, RunBeyondBytesLeftIsFatal)
+{
+    // Rejected before the refcount array is allocated.
+    FramesImage f;
+    f.capacity = u64{1} << 20;
+    f.run = u64{1} << 20;
+    f.refCounts = {};
+    f.stacked = {};
+    EXPECT_DEATH(loadFrames(f, u64{1} << 20),
+                 "count 1048576 exceeds the 8 bytes remaining");
+}
+
+TEST(SnapFramesDeathTest, FreeCountMismatchIsFatal)
+{
+    FramesImage f;
+    f.stacked = {1}; // frame 3 neither held nor free
+    EXPECT_DEATH(loadFrames(f), "free stack carries 1 frames, expected 2");
+}
+
+TEST(SnapFramesDeathTest, StackedFrameAtOrAboveRunIsFatal)
+{
+    FramesImage f;
+    f.stacked = {1, 4};
+    EXPECT_DEATH(loadFrames(f),
+                 "stacked free frame 4 at or above the never-used run at 4");
+}
+
+TEST(SnapFramesDeathTest, HeldStackedFrameIsFatal)
+{
+    FramesImage f;
+    f.stacked = {1, 2};
+    EXPECT_DEATH(loadFrames(f), "frame 2 both held and free");
+}
+
+TEST(SnapFramesDeathTest, DuplicateStackedFrameIsFatal)
+{
+    FramesImage f;
+    f.stacked = {1, 1};
+    EXPECT_DEATH(loadFrames(f), "frame 1 on the free stack twice");
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -201,7 +202,9 @@ TEST(FrameAllocatorTest, FramesAreRecycled)
 /**
  * The allocator keeps never-used frames implicit. It must hand out the
  * same frames as a plain explicit free list (frame 0 on top), and its
- * images must be that list's bytes, through save -> load mid-stream.
+ * images must be the v4 encoding of that list, through save -> load
+ * mid-stream: the longest bottom run kFrames-1, kFrames-2, ... is the
+ * never-used run, and the rest of the list is the stack.
  */
 TEST(FrameAllocatorTest, MatchesExplicitFreeListThroughSaveLoad)
 {
@@ -211,55 +214,77 @@ TEST(FrameAllocatorTest, MatchesExplicitFreeListThroughSaveLoad)
         free_list.push_back(f - 1);
     std::vector<bool> held(kFrames, false);
     auto model_image = [&] {
+        std::size_t merged = 0;
+        while (merged < free_list.size() &&
+               free_list[merged] == kFrames - 1 - merged)
+            ++merged;
+        const u64 run = kFrames - merged;
         snap::SnapWriter w;
         w.putTag("frames");
         w.put64(kFrames);
-        for (u64 byte = 0; byte < kFrames / 8; ++byte) {
-            u8 bits = 0;
-            for (u64 bit = 0; bit < 8; ++bit)
-                bits |= held[byte * 8 + bit] ? u8(1u << bit) : u8(0);
-            w.put8(bits);
-        }
         w.put64(kFrames - free_list.size());
-        w.put64(free_list.size());
-        for (u64 f : free_list)
-            w.put64(f);
-        for (u64 f = 0; f < kFrames; ++f) {
-            if (held[f])
-                w.put32(1);
-        }
+        w.put64(run);
+        for (u64 f = 0; f < run; ++f)
+            w.put32(held[f] ? 1 : 0);
+        w.put64(free_list.size() - merged);
+        for (std::size_t i = merged; i < free_list.size(); ++i)
+            w.put64(free_list[i]);
         return w.seal();
     };
 
     auto frames = std::make_unique<FrameAllocator>(kFrames);
     Rng rng(31);
-    for (int op = 0; op < 3000; ++op) {
+    u64 high_water = 0; // frames ever handed out: [0, high_water)
+    int op = 0;
+    auto allocate = [&] {
+        const auto got = frames->allocate();
+        ASSERT_EQ(got.has_value(), !free_list.empty()) << "op " << op;
+        if (got) {
+            ASSERT_EQ(got->number(), free_list.back()) << "op " << op;
+            free_list.pop_back();
+            held[got->number()] = true;
+            high_water = std::max(high_water, got->number() + 1);
+        }
+    };
+    auto release = [&](u64 f) {
+        frames->free(Pfn(f));
+        free_list.push_back(f);
+        held[f] = false;
+    };
+    auto save_load = [&] {
+        snap::SnapWriter w;
+        frames->save(w);
+        const std::vector<u8> image = w.seal();
+        ASSERT_EQ(image, model_image()) << "op " << op;
+        frames = std::make_unique<FrameAllocator>(kFrames);
+        snap::SnapReader r(image);
+        frames->load(r);
+        r.finish();
+    };
+    for (; op < 3000; ++op) {
         const u64 roll = rng.nextBelow(100);
-        if (roll < 55) {
-            const auto got = frames->allocate();
-            ASSERT_EQ(got.has_value(), !free_list.empty()) << "op " << op;
-            if (got) {
-                ASSERT_EQ(got->number(), free_list.back()) << "op " << op;
-                free_list.pop_back();
-                held[got->number()] = true;
-            }
+        if (op % 500 == 250 && high_water >= 2) {
+            // Empty the stack, then free the two frames just below
+            // the never-used run, top one first: they sit at the
+            // bottom of the stack and the save must merge them into
+            // the run.
+            while (!free_list.empty() && free_list.back() < high_water)
+                allocate();
+            release(high_water - 1);
+            release(high_water - 2);
+            save_load();
+        } else if (roll < 55) {
+            allocate();
         } else if (roll < 97) {
             const u64 f = rng.nextBelow(kFrames);
             if (!held[f])
                 continue;
-            frames->free(Pfn(f));
-            free_list.push_back(f);
-            held[f] = false;
+            release(f);
         } else {
-            snap::SnapWriter w;
-            frames->save(w);
-            const std::vector<u8> image = w.seal();
-            ASSERT_EQ(image, model_image()) << "op " << op;
-            frames = std::make_unique<FrameAllocator>(kFrames);
-            snap::SnapReader r(image);
-            frames->load(r);
-            r.finish();
+            save_load();
         }
+        if (HasFatalFailure())
+            return;
         ASSERT_EQ(frames->inUse(), kFrames - free_list.size());
     }
 }
