@@ -40,6 +40,19 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** FNV-1a 64-bit hash of a byte range: the per-cell statsFnv digest
+ * in BENCH_farm.json. */
+u64
+fnv1a(const u8 *data, std::size_t size)
+{
+    u64 hash = 14695981039346656037ull;
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= data[i];
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
 farm::Campaign
 buildCampaign(const Options &options)
 {
@@ -105,9 +118,8 @@ writeDeterministicCells(obs::JsonWriter &json,
         json.member("simCycles", cell.simCycles);
         std::ostringstream fnv;
         fnv << std::hex
-            << snap::fnv1a(
-                   reinterpret_cast<const u8 *>(cell.statsDump.data()),
-                   cell.statsDump.size());
+            << fnv1a(reinterpret_cast<const u8 *>(cell.statsDump.data()),
+                     cell.statsDump.size());
         json.member("statsFnv", fnv.str());
         json.endObject();
     }

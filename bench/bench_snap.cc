@@ -178,7 +178,7 @@ singleCoreOracle(const std::string &label,
         snapper.add(*sys);
         snapper.add(*rng);
         snapper.add(*stream);
-        const snap::Snapshot image = snapper.finish();
+        const snap::Snapshot image = std::move(snapper).finish();
         image.toFile(path);
         row.saveMs += msSince(mark);
         row.imageBytes = image.bytes.size();
@@ -266,7 +266,7 @@ mcOracle(const Options &options)
     auto mark = Clock::now();
     snap::Snapshotter snapper;
     snapper.add(first);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
     image.toFile(path);
     row.saveMs = msSince(mark);
     row.imageBytes = image.bytes.size();
@@ -561,7 +561,7 @@ BM_SnapshotSave(benchmark::State &state)
         snap::Snapshotter snapper;
         snapper.add(sys);
         snapper.add(rng);
-        const snap::Snapshot image = snapper.finish();
+        const snap::Snapshot image = std::move(snapper).finish();
         bytes = image.bytes.size();
         benchmark::DoNotOptimize(image.bytes.data());
     }
@@ -580,7 +580,7 @@ BM_SnapshotRestore(benchmark::State &state)
     snap::Snapshotter snapper;
     snapper.add(sys);
     snapper.add(rng);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
 
     core::System target(core::SystemConfig::plbSystem());
     setupHeap(target);

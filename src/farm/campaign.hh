@@ -240,7 +240,7 @@ class CellExecution
         snapper.add(sys_);
         snapper.add(*rng_);
         snapper.add(*stream_);
-        return snapper.finish();
+        return std::move(snapper).finish();
     }
 
     /** Overlay a checkpoint of the same cell onto this execution. */
@@ -347,7 +347,7 @@ class SweepRunner
         sys.run(*stream, cell.warmRefs, rng, cell.type);
         snap::Snapshotter snapper;
         snapper.add(sys);
-        return std::make_shared<snap::Snapshot>(snapper.finish());
+        return std::make_shared<snap::Snapshot>(std::move(snapper).finish());
     }
 
     /** Run one cell start to finish on the calling thread. */

@@ -66,7 +66,7 @@ encodeMessage(const Message &message)
       case MsgKind::Shutdown:
         break;
     }
-    return w.seal();
+    return std::move(w).seal();
 }
 
 Message

@@ -1,7 +1,7 @@
 /**
  * @file
  * The farm's pipe protocol: length-prefixed frames reusing the
- * snapshot envelope (magic, version, payload length, FNV-1a checksum;
+ * snapshot envelope (magic, version, payload length, checksum64;
  * snap/snapio.hh), so every message crossing a worker pipe gets the
  * same integrity guarantees as a snapshot image -- a truncated,
  * bit-flipped, over-length or wrong-version frame is rejected before

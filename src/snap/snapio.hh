@@ -3,16 +3,16 @@
  * Binary snapshot encoding: a versioned, checksummed envelope around a
  * stream of explicitly-encoded fields.
  *
- * The format is deliberately dumb. Every field is written in a fixed
- * little-endian width by hand -- never by memcpy of a struct -- so the
- * byte stream contains no padding, no host endianness and no libc
+ * The format is deliberately dumb. Every field is written on its own
+ * in a fixed little-endian width -- never by memcpy of a struct -- so
+ * the byte stream contains no padding, no host endianness and no libc
  * container internals, and two runs that reach the same simulator
  * state produce bit-identical images. Section boundaries carry string
  * tags so a reader that drifts out of phase with the writer fails on
  * the next tag instead of silently misinterpreting payload.
  *
  * SnapReader treats the image as untrusted input: the envelope
- * (magic, version, payload length, FNV-1a checksum) is validated
+ * (magic, version, payload length, checksum64) is validated
  * before any payload byte is interpreted, every read is bounds
  * checked, counts are sanity checked against the bytes remaining
  * before any allocation, and every violation is a SASOS_FATAL with a
@@ -29,6 +29,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -48,10 +49,12 @@ constexpr char kMagic[8] = {'S', 'A', 'S', 'O', 'S', 'N', 'A', 'P'};
  * v4: the frame allocator writes the refcounts below its never-used
  * run and the stack of freed frames, not an allocation bitmap and the
  * explicit free list over its whole capacity, so images scale with
- * the frames a machine touched. */
-constexpr u32 kFormatVersion = 4;
+ * the frames a machine touched.
+ * v5: the envelope checksum is checksum64, hashed by the 8-byte word,
+ * in place of a byte-serial FNV-1a. */
+constexpr u32 kFormatVersion = 5;
 
-/** Envelope size: magic[8] version[4] reserved[4] length[8] fnv[8]. */
+/** Envelope size: magic[8] version[4] reserved[4] length[8] sum[8]. */
 constexpr std::size_t kHeaderBytes = 32;
 
 /** Refuse images larger than this (hostile length-field backstop). */
@@ -60,26 +63,19 @@ constexpr u64 kMaxImageBytes = u64{1} << 30;
 /** Marker byte preceding every section tag. */
 constexpr u8 kTagMarker = 0xA5;
 
-/** FNV-1a 64-bit hash of a byte range. */
-inline u64
-fnv1a(const u8 *data, std::size_t size)
-{
-    u64 hash = 14695981039346656037ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
+// The codec copies each field's bytes as they sit in memory, which is
+// the little-endian encoding only on a little-endian host. Every
+// supported build target is one, so there is no byte-swapping path.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot fields are stored in host byte order");
 
 /** Little-endian load of a fixed-width unsigned field. */
 template <typename T>
 inline T
 loadLe(const u8 *in)
 {
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        v |= static_cast<T>(static_cast<T>(in[i]) << (8 * i));
+    T v{};
+    std::memcpy(&v, in, sizeof(T));
     return v;
 }
 
@@ -88,8 +84,82 @@ template <typename T>
 inline void
 storeLe(u8 *out, T v)
 {
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out[i] = static_cast<u8>(v >> (8 * i));
+    std::memcpy(out, &v, sizeof(T));
+}
+
+namespace detail
+{
+
+/** xxHash64's five 64-bit primes; all are odd, so multiplying by one
+ * is a bijection mod 2^64. */
+constexpr u64 kSumP1 = 0x9E3779B185EBCA87ull;
+constexpr u64 kSumP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr u64 kSumP3 = 0x165667B19E3779F9ull;
+constexpr u64 kSumP4 = 0x85EBCA77C2B2AE63ull;
+constexpr u64 kSumP5 = 0x27D4EB2F165667C5ull;
+
+/** One lane step: a bijection of the lane for a fixed word and of
+ * the word for a fixed lane (odd multipliers, add, rotate). */
+inline u64
+sumRound(u64 lane, u64 word)
+{
+    return std::rotl(lane + word * kSumP2, 31) * kSumP1;
+}
+
+} // namespace detail
+
+/**
+ * The envelope checksum (format v5): 64 bits over a byte range, hashed
+ * by the 8-byte word in the shape of xxHash64. Whole 32-byte stripes
+ * feed four independent multiply-rotate lanes, one word each; the
+ * lanes fold into the running value in sequence (h = h*P1 + lane);
+ * then the 0-31 tail bytes are mixed in as 8-byte words, one 4-byte
+ * word and single bytes; an xorshift-multiply finalizer ends it.
+ *
+ * Every step is a bijection of the state that a changed word or tail
+ * byte reaches: for the other inputs fixed, a lane step is injective
+ * in its word and bijective in its lane, each fold and tail step is
+ * injective in its input and bijective in h, and the finalizer is
+ * bijective. So two inputs of the same length that differ only inside
+ * one aligned 8-byte word, or only in the tail, always hash
+ * differently -- every single-bit flip is caught, not just most.
+ */
+inline u64
+checksum64(const u8 *data, std::size_t size)
+{
+    using namespace detail;
+    const u8 *p = data;
+    const u8 *const end = data + size;
+    u64 a = kSumP1 + kSumP2;
+    u64 b = kSumP2;
+    u64 c = 0;
+    u64 d = 0 - kSumP1;
+    for (; end - p >= 32; p += 32) {
+        a = sumRound(a, loadLe<u64>(p));
+        b = sumRound(b, loadLe<u64>(p + 8));
+        c = sumRound(c, loadLe<u64>(p + 16));
+        d = sumRound(d, loadLe<u64>(p + 24));
+    }
+    u64 h = static_cast<u64>(size) + kSumP5;
+    h = h * kSumP1 + a;
+    h = h * kSumP1 + b;
+    h = h * kSumP1 + c;
+    h = h * kSumP1 + d;
+    for (; end - p >= 8; p += 8)
+        h = std::rotl(h ^ sumRound(0, loadLe<u64>(p)), 27) * kSumP1 + kSumP4;
+    if (end - p >= 4) {
+        h = std::rotl(h ^ (u64{loadLe<u32>(p)} * kSumP1), 23) * kSumP2 +
+            kSumP3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        h = std::rotl(h ^ (u64{*p} * kSumP5), 11) * kSumP1;
+    h ^= h >> 33;
+    h *= kSumP2;
+    h ^= h >> 29;
+    h *= kSumP3;
+    h ^= h >> 32;
+    return h;
 }
 
 /**
@@ -119,20 +189,23 @@ preflightEnvelope(const std::vector<u8> &image)
     if (loadLe<u64>(image.data() + 16) != image.size() - kHeaderBytes)
         return "length field does not match the payload";
     if (loadLe<u64>(image.data() + 24) !=
-        fnv1a(image.data() + kHeaderBytes, image.size() - kHeaderBytes))
+        checksum64(image.data() + kHeaderBytes,
+                   image.size() - kHeaderBytes))
         return "checksum mismatch";
     return {};
 }
 
-/** Appends explicitly-encoded fields to a payload buffer; seal()
- * wraps it in the checksummed envelope. */
+/** Appends explicitly-encoded fields to an image buffer whose first
+ * kHeaderBytes are reserved for the envelope; seal() fills them in. */
 class SnapWriter
 {
   public:
+    SnapWriter() : image_(kHeaderBytes) {}
+
     void
     put8(u8 v)
     {
-        payload_.push_back(v);
+        image_.push_back(v);
     }
 
     void
@@ -178,7 +251,7 @@ class SnapWriter
     {
         SASOS_ASSERT(bytes.size() <= 0xFFFFFFFFu, "string too long");
         put32(static_cast<u32>(bytes.size()));
-        payload_.insert(payload_.end(), bytes.begin(), bytes.end());
+        image_.insert(image_.end(), bytes.begin(), bytes.end());
     }
 
     /** Section boundary: marker byte + name, checked by expectTag. */
@@ -189,30 +262,20 @@ class SnapWriter
         putString(name);
     }
 
-    std::size_t
-    bytes() const
-    {
-        return payload_.size();
-    }
-
-    /** Wrap the payload in the envelope and return the full image. */
+    /** Fill in the envelope and hand over the image, without copying
+     * the payload. The writer is spent afterwards. */
     std::vector<u8>
-    seal() const
+    seal() &&
     {
-        std::vector<u8> image(kHeaderBytes + payload_.size());
-        std::memcpy(image.data(), kMagic, sizeof(kMagic));
-        const u32 version = kFormatVersion;
-        const u32 reserved = 0;
-        const u64 length = payload_.size();
-        const u64 checksum = fnv1a(payload_.data(), payload_.size());
-        storeLe(image.data() + 8, version);
-        storeLe(image.data() + 12, reserved);
-        storeLe(image.data() + 16, length);
-        storeLe(image.data() + 24, checksum);
-        if (!payload_.empty())
-            std::memcpy(image.data() + kHeaderBytes, payload_.data(),
-                        payload_.size());
-        return image;
+        SASOS_ASSERT(image_.size() >= kHeaderBytes, "SnapWriter sealed twice");
+        u8 *const head = image_.data();
+        const u64 length = image_.size() - kHeaderBytes;
+        std::memcpy(head, kMagic, sizeof(kMagic));
+        storeLe<u32>(head + 8, kFormatVersion);
+        storeLe<u32>(head + 12, 0);
+        storeLe<u64>(head + 16, length);
+        storeLe<u64>(head + 24, checksum64(head + kHeaderBytes, length));
+        return std::move(image_);
     }
 
   private:
@@ -221,12 +284,12 @@ class SnapWriter
     void
     putLe(T v)
     {
-        const std::size_t at = payload_.size();
-        payload_.resize(at + sizeof(T));
-        storeLe(payload_.data() + at, v);
+        const std::size_t at = image_.size();
+        image_.resize(at + sizeof(T));
+        storeLe(image_.data() + at, v);
     }
 
-    std::vector<u8> payload_;
+    std::vector<u8> image_;
 };
 
 /** Sequential, bounds-checked reader over an untrusted image. The
@@ -382,8 +445,8 @@ class SnapReader
                         " payload bytes, file carries ",
                         image_.size() - kHeaderBytes);
         const u64 checksum = loadLe<u64>(image_.data() + 24);
-        const u64 actual =
-            fnv1a(image_.data() + kHeaderBytes, image_.size() - kHeaderBytes);
+        const u64 actual = checksum64(image_.data() + kHeaderBytes,
+                                      image_.size() - kHeaderBytes);
         if (checksum != actual)
             SASOS_FATAL("corrupt snapshot: checksum mismatch");
         pos_ = kHeaderBytes;

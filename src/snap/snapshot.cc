@@ -63,9 +63,9 @@ Snapshotter::add(const wl::AddressStream &stream)
 }
 
 Snapshot
-Snapshotter::finish() const
+Snapshotter::finish() &&
 {
-    return Snapshot{writer_.seal()};
+    return Snapshot{std::move(writer_).seal()};
 }
 
 Restorer::Restorer(const Snapshot &image) : reader_(image.bytes) {}

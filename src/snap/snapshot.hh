@@ -73,8 +73,8 @@ class Snapshotter
     void add(const wl::AddressStream &stream);
     /// @}
 
-    /** Seal the image. The Snapshotter is spent afterwards. */
-    Snapshot finish() const;
+    /** Seal the image in place. The Snapshotter is spent afterwards. */
+    Snapshot finish() &&;
 
   private:
     SnapWriter writer_;

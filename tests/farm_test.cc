@@ -429,7 +429,7 @@ TEST(WireCorruptionTest, UnknownKindIsRejected)
     snap::SnapWriter w;
     w.putTag("farm.msg");
     w.put8(99); // Not a MsgKind.
-    EXPECT_THROW(farm::decodeMessage(w.seal()), FatalRejection);
+    EXPECT_THROW(farm::decodeMessage(std::move(w).seal()), FatalRejection);
 }
 
 TEST(WireCorruptionTest, WrongTagIsRejected)
@@ -439,7 +439,7 @@ TEST(WireCorruptionTest, WrongTagIsRejected)
     w.putTag("not.farm");
     w.put8(1);
     w.put64(0);
-    EXPECT_THROW(farm::decodeMessage(w.seal()), FatalRejection);
+    EXPECT_THROW(farm::decodeMessage(std::move(w).seal()), FatalRejection);
 }
 
 TEST(WireCorruptionTest, OverLongWellFormedFrameIsRejected)

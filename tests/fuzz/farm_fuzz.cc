@@ -5,7 +5,7 @@
  * The input bytes are fed to three parsing surfaces:
  *  - verbatim to decodeMessage, exercising the envelope checks the
  *    frames inherit from the snapshot format (magic, version, length
- *    field, FNV checksum) plus the frame-level checks (tag, message
+ *    field, checksum64) plus the frame-level checks (tag, message
  *    kind, per-kind field decode, trailing bytes);
  *  - re-sealed as the *payload* of a well-formed envelope, so the
  *    fuzzer gets past the checksum and into the message decoder;
@@ -79,7 +79,7 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
         snap::SnapWriter writer;
         writer.putString(std::string_view(
             reinterpret_cast<const char *>(data), size));
-        tryDecode(writer.seal());
+        tryDecode(std::move(writer).seal());
     }
 
     // Surface 3: incremental reassembly through the coordinator's

@@ -4,7 +4,7 @@
  *
  * The input bytes are fed to two parsing surfaces:
  *  - verbatim as a snapshot image, exercising the envelope checks
- *    (magic, version, length field, FNV checksum);
+ *    (magic, version, length field, checksum64);
  *  - re-sealed as the *payload* of a well-formed envelope, so the
  *    fuzzer gets past the checksum and into the per-section decoders
  *    (tags, counts, cross-checks in every load() hook).
@@ -84,18 +84,13 @@ sealPayload(const uint8_t *data, size_t size)
     image.bytes.resize(snap::kHeaderBytes + size);
     u8 *out = image.bytes.data();
     std::memcpy(out, snap::kMagic, sizeof(snap::kMagic));
-    const u32 version = snap::kFormatVersion;
-    const u64 length = size;
-    for (int i = 0; i < 4; ++i)
-        out[8 + i] = static_cast<u8>(version >> (8 * i));
+    snap::storeLe<u32>(out + 8, snap::kFormatVersion);
     // reserved[4] stays zero.
-    for (int i = 0; i < 8; ++i)
-        out[16 + i] = static_cast<u8>(length >> (8 * i));
+    snap::storeLe<u64>(out + 16, size);
     if (size > 0)
         std::memcpy(out + snap::kHeaderBytes, data, size);
-    const u64 sum = snap::fnv1a(out + snap::kHeaderBytes, size);
-    for (int i = 0; i < 8; ++i)
-        out[24 + i] = static_cast<u8>(sum >> (8 * i));
+    snap::storeLe<u64>(out + 24,
+                       snap::checksum64(out + snap::kHeaderBytes, size));
     return image;
 }
 

@@ -353,7 +353,7 @@ class NaiveCache
         } else {
             policy_->save(w);
         }
-        return w.seal();
+        return std::move(w).seal();
     }
 
   private:
@@ -391,7 +391,7 @@ imageOf(const SoupCache &cache)
     cache.save(
         w, [](snap::SnapWriter &out, u64 tag) { out.put64(tag); },
         [](snap::SnapWriter &out, u64 payload) { out.put64(payload); });
-    return w.seal();
+    return std::move(w).seal();
 }
 
 void
@@ -541,7 +541,7 @@ TEST(ReplacementTest, LoadedStampTiesBreakToLowestWay)
                 w.put64(way < 3 ? 9 : 4); // ways 3.. tie at the minimum
             w.put64(9);
             auto policy = makePolicy(kind, 1, ways);
-            snap::SnapReader r(w.seal());
+            snap::SnapReader r(std::move(w).seal());
             policy->load(r);
             EXPECT_EQ(policy->victim(0), 3u) << ways << " ways";
             // The next oldest: way 4, or way 0 when 3 was the last.

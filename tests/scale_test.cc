@@ -275,7 +275,7 @@ TEST(ClusterPlbTest, SaveLoadRebuildsDirectoryAndGuardsGeometry)
 
     snap::SnapWriter writer;
     plb.save(writer);
-    const std::vector<u8> image = writer.seal();
+    const std::vector<u8> image = std::move(writer).seal();
 
     stats::Group root2("t2");
     hw::ClusterPlb restored(clusterConfig(4, 32, 2), &root2);
@@ -390,7 +390,7 @@ TEST(ScaleDeterminismTest, MidStormSnapshotResumesEquivalently)
 
     snap::Snapshotter snapper;
     snapper.add(first);
-    snap::Restorer restorer(snapper.finish());
+    snap::Restorer restorer(std::move(snapper).finish());
     mc::McSystem resumed(config);
     restorer.restore(resumed);
     restorer.finish();

@@ -9,13 +9,14 @@
  * all four protection models, for a fault-injected machine, and for
  * the four-core multi-core engine (through a file round trip).
  *
- * Around it: snapio primitive round trips, corrupt-image rejection
+ * Around it: snapio primitive round trips, the envelope checksum's
+ * known answers and single-bit-flip coverage, corrupt-image rejection
  * (truncation, bit flips, bad magic, a previous or future version,
  * hostile lengths, config mismatches -- all clean fatals, rerouted
  * into exceptions here), the protection-key model's kernel key tables
  * (round trip and rejection), stateful stream resume, warm-start
  * sweep identity, the restored counters vs. obs event-stream
- * reconciliation, a checked-in v4 image guarding compatibility
+ * reconciliation, a checked-in v5 image guarding compatibility
  * (SASOS_GOLDEN_REGEN=1 regenerates it), and crafted replacement,
  * tag and frame-allocator sections, one death test per load-time
  * check.
@@ -30,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/mc/mc_system.hh"
@@ -177,7 +179,7 @@ runSplit(const core::SystemConfig &config, u64 prefix, u64 rest)
     snapper.add(warm);
     snapper.add(rng);
     snapper.add(*stream);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
     std::vector<EventEssence> events = essenceOf(obs::stopTracing());
 
     // Fresh process stand-ins: same construction recipe, different
@@ -238,7 +240,7 @@ TEST(SnapIoTest, PrimitivesRoundTrip)
     writer.putString("sasos");
     writer.putString("");
 
-    snap::SnapReader reader(writer.seal());
+    snap::SnapReader reader(std::move(writer).seal());
     reader.expectTag("hello");
     EXPECT_EQ(reader.get8(), 7u);
     EXPECT_EQ(reader.get16(), 0xBEEFu);
@@ -258,7 +260,7 @@ TEST(SnapIoTest, TagMismatchIsFatal)
     ScopedFatalThrow bridge;
     snap::SnapWriter writer;
     writer.putTag("alpha");
-    const std::vector<u8> image = writer.seal();
+    const std::vector<u8> image = std::move(writer).seal();
     snap::SnapReader reader(image);
     EXPECT_THROW(reader.expectTag("beta"), FatalRejection);
 }
@@ -268,8 +270,67 @@ TEST(SnapIoTest, HostileCountIsFatal)
     ScopedFatalThrow bridge;
     snap::SnapWriter writer;
     writer.put64(~u64{0}); // a count promising 2^64-1 elements
-    snap::SnapReader reader(writer.seal());
+    snap::SnapReader reader(std::move(writer).seal());
     EXPECT_THROW(reader.getCount(8), FatalRejection);
+}
+
+// ---------------------------------------------------------------------
+// The v5 envelope checksum
+
+namespace
+{
+
+/** A fixed, non-repeating-by-word byte pattern. */
+std::vector<u8>
+checksumPattern(std::size_t size)
+{
+    std::vector<u8> bytes(size);
+    for (std::size_t i = 0; i < size; ++i)
+        bytes[i] = static_cast<u8>(i * 37 + 11);
+    return bytes;
+}
+
+} // namespace
+
+TEST(SnapChecksumTest, KnownAnswers)
+{
+    // Pins the format: a change to any lane, fold, tail or finalizer
+    // step changes these values, and with them every v5 image.
+    const std::vector<std::pair<std::size_t, u64>> expected = {
+        {0, 0xF5C5230AF08E1459ull},   {1, 0xF04A9C394E35D48Dull},
+        {7, 0xA21F33787313E679ull},   {8, 0xA023ABA4BC6B37A5ull},
+        {31, 0xC60BA6E1B0AE7233ull},  {32, 0xAF904A07694025CBull},
+        {33, 0xF0295F64315B88D7ull},  {64, 0x08566733F8934350ull},
+        {1000, 0x62ADF66CF05B5098ull},
+    };
+    const std::vector<u8> bytes = checksumPattern(1000);
+    for (const auto &[size, sum] : expected) {
+        EXPECT_EQ(snap::checksum64(bytes.data(), size), sum)
+            << size << " bytes";
+    }
+}
+
+TEST(SnapChecksumTest, EverySingleBitFlipIsAChecksumMismatch)
+{
+    // 303 payload bytes: nine 32-byte stripes, then a tail that takes
+    // the 8-byte, 4-byte and single-byte steps.
+    snap::SnapWriter writer;
+    writer.putTag("flips");
+    writer.putBytes(checksumPattern(289));
+    const std::vector<u8> image = std::move(writer).seal();
+    ASSERT_EQ(image.size() - snap::kHeaderBytes, 303u);
+    ASSERT_EQ(snap::preflightEnvelope(image), "");
+
+    std::vector<u8> flipped = image;
+    for (std::size_t at = snap::kHeaderBytes; at < image.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            flipped[at] ^= static_cast<u8>(1u << bit);
+            EXPECT_EQ(snap::preflightEnvelope(flipped), "checksum mismatch")
+                << "payload byte " << at - snap::kHeaderBytes << " bit "
+                << bit;
+            flipped[at] = image[at];
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -341,7 +402,7 @@ TEST(SnapResumeTest, MidSweepCheckpointEveryQuarter)
         snapper.add(*sys);
         snapper.add(*rng);
         snapper.add(*stream);
-        const snap::Snapshot image = snapper.finish();
+        const snap::Snapshot image = std::move(snapper).finish();
         const std::vector<EventEssence> part =
             essenceOf(obs::stopTracing());
         events.insert(events.end(), part.begin(), part.end());
@@ -430,7 +491,7 @@ TEST(SnapMcTest, FourCoreResumeThroughFileRoundTrip)
     snap::Snapshotter snapper;
     snapper.add(first);
     const std::string path = test::uniqueTempPath("snap_mc_test.snap");
-    snapper.finish().toFile(path);
+    std::move(snapper).finish().toFile(path);
 
     core::mc::McSystem resumed(config);
     snap::Restorer restorer(snap::Snapshot::fromFile(path));
@@ -491,7 +552,7 @@ runScenarioSplit(const core::SystemConfig &config,
 
     snap::Snapshotter snapper;
     snapper.add(warm);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
     std::vector<EventEssence> events = essenceOf(obs::stopTracing());
 
     obs::setThreadId(1);
@@ -589,7 +650,7 @@ smallImage()
     snap::Snapshotter snapper;
     snapper.add(sys);
     snapper.add(rng);
-    return snapper.finish();
+    return std::move(snapper).finish();
 }
 
 void
@@ -740,7 +801,7 @@ pkeyImage(core::System &sys, vm::VAddr *base_out = nullptr)
     sys.kernel().restrictPage(vm::pageOf(base), vm::Access::Read);
     snap::Snapshotter snapper;
     snapper.add(sys);
-    return snapper.finish();
+    return std::move(snapper).finish();
 }
 
 } // namespace
@@ -835,7 +896,7 @@ TEST(SnapStreamTest, SequentialStreamResumes)
     snap::Snapshotter snapper;
     snapper.add(original);
     snapper.add(rng);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
 
     wl::SequentialStream resumed(base, 64 * vm::kPageBytes, 64);
     Rng resumedRng(77);
@@ -859,7 +920,7 @@ TEST(SnapStreamTest, WorkingSetStreamResumes)
     snap::Snapshotter snapper;
     snapper.add(original);
     snapper.add(rng);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
 
     wl::WorkingSetStream resumed(base, 64, 8, 512);
     Rng resumedRng(77);
@@ -891,7 +952,7 @@ TEST(SnapStatsTest, RestoredCountersMatchEventStream)
 
     snap::Snapshotter snapper;
     snapper.add(sys);
-    const snap::Snapshot image = snapper.finish();
+    const snap::Snapshot image = std::move(snapper).finish();
 
     core::System restored(config);
     setupHeap(restored);
@@ -974,16 +1035,16 @@ TEST(SnapOptionsTest, FromOptions)
 // version must keep loading. (Older images are rejected by the
 // version check: v2 added frame refcounts and the CoW page set, v3
 // the protection-key model's kernel key tables, v4 the frame
-// allocator's touched-frames encoding.)
+// allocator's touched-frames encoding, v5 the word-wide checksum.)
 
-TEST(SnapGoldenTest, V4ImageStillRestores)
+TEST(SnapGoldenTest, V5ImageStillRestores)
 {
     // The golden recipe: a protection-key machine (so the checked-in
     // image exercises the key tables) shrunk along its bulky axes
     // (frame pool, cache line maps) so the image stays a few tens of
     // KB; 64-page heap, 2000 zipf references at seed 42, then System
     // + Rng snapshotted.
-    const std::string path = dataPath("golden_v4.snap");
+    const std::string path = dataPath("golden_v5.snap");
     core::SystemConfig config = core::SystemConfig::pkeySystem();
     config.frames = 1024;
     config.cache.sizeBytes = 8 * 1024;
@@ -999,7 +1060,7 @@ TEST(SnapGoldenTest, V4ImageStillRestores)
         snap::Snapshotter snapper;
         snapper.add(sys);
         snapper.add(rng);
-        snapper.finish().toFile(path);
+        std::move(snapper).finish().toFile(path);
         GTEST_SKIP() << "regenerated " << path;
     }
 
@@ -1022,7 +1083,8 @@ TEST(SnapGoldenTest, V4ImageStillRestores)
     snap::Snapshotter resaver;
     resaver.add(sys);
     resaver.add(rng);
-    EXPECT_TRUE(resaver.finish().bytes == snap::Snapshot::fromFile(path).bytes)
+    EXPECT_TRUE(std::move(resaver).finish().bytes ==
+                snap::Snapshot::fromFile(path).bytes)
         << "re-saved image differs from " << path;
 
     // The restored machine must still be a working machine.
@@ -1051,7 +1113,7 @@ stampImage(const std::vector<u64> &stamps, u64 clock)
     for (u64 stamp : stamps)
         w.put64(stamp);
     w.put64(clock);
-    return w.seal();
+    return std::move(w).seal();
 }
 
 /** A one-set cache image whose first two ways hold tag 7. */
@@ -1072,7 +1134,7 @@ duplicateTagImage(std::size_t ways)
     for (std::size_t way = 0; way < ways; ++way)
         w.put64(way + 1);
     w.put64(ways);
-    return w.seal();
+    return std::move(w).seal();
 }
 
 void
@@ -1151,7 +1213,7 @@ framesImage(const FramesImage &f)
     w.put64(f.stacked.size());
     for (u64 frame : f.stacked)
         w.put64(frame);
-    return w.seal();
+    return std::move(w).seal();
 }
 
 void
@@ -1176,7 +1238,7 @@ TEST(SnapFramesTest, BaseImageLoadsAndResaves)
     EXPECT_EQ(frames.refCount(vm::Pfn(2)), 2u);
     snap::SnapWriter w;
     frames.save(w);
-    EXPECT_EQ(w.seal(), image);
+    EXPECT_EQ(std::move(w).seal(), image);
     // The stack comes out top first, then the never-used run.
     for (u64 expect : {3, 1, 4, 5})
         EXPECT_EQ(frames.allocate(), vm::Pfn(expect));

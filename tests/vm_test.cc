@@ -229,7 +229,7 @@ TEST(FrameAllocatorTest, MatchesExplicitFreeListThroughSaveLoad)
         w.put64(free_list.size() - merged);
         for (std::size_t i = merged; i < free_list.size(); ++i)
             w.put64(free_list[i]);
-        return w.seal();
+        return std::move(w).seal();
     };
 
     auto frames = std::make_unique<FrameAllocator>(kFrames);
@@ -254,7 +254,7 @@ TEST(FrameAllocatorTest, MatchesExplicitFreeListThroughSaveLoad)
     auto save_load = [&] {
         snap::SnapWriter w;
         frames->save(w);
-        const std::vector<u8> image = w.seal();
+        const std::vector<u8> image = std::move(w).seal();
         ASSERT_EQ(image, model_image()) << "op " << op;
         frames = std::make_unique<FrameAllocator>(kFrames);
         snap::SnapReader r(image);
