@@ -27,7 +27,10 @@
  * Purge operations report how many entries were *scanned* as well as
  * how many were invalidated, because the paper's cost arguments
  * distinguish a full inspect-every-entry pass (PLB detach) from an
- * indexed invalidate (TLB purge of one page).
+ * indexed invalidate (TLB purge of one page). Every scan-style purge
+ * is one pass of invalidateInSets() over a contiguous set range: the
+ * whole structure for invalidateIf(), or only the sets a page can
+ * occupy for a page flush.
  */
 
 #ifndef SASOS_HW_ASSOC_CACHE_HH
@@ -237,20 +240,36 @@ class AssocCache
     PurgeResult
     invalidateIf(Pred pred)
     {
-        PurgeResult result;
         // Hardware inspects every slot of the structure, valid or
         // not; the scan cost is the capacity, which is what the
         // paper's "inspecting all the entries" worst case charges.
-        result.scanned = valid_.size();
-        for (std::size_t i = 0; i < valid_.size(); ++i) {
-            if (!valid_[i])
-                continue;
-            if (pred(tags_[i], payloads_[i])) {
+        return {capacity(), invalidateInSets(0, sets_, pred)};
+    }
+
+    /**
+     * Invalidate the valid entries of sets [first_set, first_set +
+     * count) that match `pred(tag, payload)`, in one dense pass over
+     * their valid lane. Slots are visited from the last of the range
+     * down to the first, so a set's higher ways are seen before its
+     * lower ones: a pred that accepts only the first match of a key
+     * drops the highest way holding it. Replacement state is left
+     * alone, like the other purges. @return entries invalidated.
+     */
+    template <typename Pred>
+    u64
+    invalidateInSets(std::size_t first_set, std::size_t count, Pred pred)
+    {
+        SASOS_ASSERT(first_set <= sets_ && count <= sets_ - first_set,
+                     "set range ", first_set, "+", count, " out of range");
+        u64 invalidated = 0;
+        const std::size_t begin = first_set * ways_;
+        for (std::size_t i = (first_set + count) * ways_; i-- > begin;) {
+            if (valid_[i] && pred(tags_[i], payloads_[i])) {
                 drop(i);
-                ++result.invalidated;
+                ++invalidated;
             }
         }
-        return result;
+        return invalidated;
     }
 
     /**
@@ -313,18 +332,6 @@ class AssocCache
         for (std::size_t i = 0; i < valid_.size(); ++i) {
             if (valid_[i])
                 fn(tags_[i], payloads_[i]);
-        }
-    }
-
-    /** Visit every valid entry of one set: fn(tag, payload&). */
-    template <typename Fn>
-    void
-    forEachInSet(std::size_t set, Fn fn)
-    {
-        const std::size_t base = set * ways_;
-        for (std::size_t way = 0; way < ways_; ++way) {
-            if (valid_[base + way])
-                fn(tags_[base + way], payloads_[base + way]);
         }
     }
 

@@ -1,5 +1,7 @@
 #include "hw/data_cache.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 namespace sasos::hw
@@ -107,72 +109,50 @@ DataCache::fill(vm::VAddr va, vm::PAddr pa, bool store)
 }
 
 FlushResult
-DataCache::flushPage(vm::Vpn vpn, std::optional<vm::Pfn> pfn, int page_shift)
+DataCache::flushPage(vm::Vpn vpn, std::optional<vm::Pfn> pfn)
 {
+    const bool pipt = config_.org == CacheOrg::Pipt;
+    SASOS_ASSERT(!pipt || pfn.has_value(),
+                 "pipt flush needs the physical page");
+    // The set index comes from the physical line on Pipt, the virtual
+    // line otherwise.
+    const u64 page = pipt ? pfn->number() : vpn.number();
+    const u64 lines_per_page = vm::kPageBytes / config_.lineBytes;
+    const u64 first_line = (page << vm::kPageShift) / config_.lineBytes;
     FlushResult result;
-    const u64 lines_per_page =
-        (u64{1} << page_shift) / config_.lineBytes;
-    const u64 first_vline =
-        (vpn.number() << page_shift) / config_.lineBytes;
-    u64 first_pline = 0;
-    if (config_.org == CacheOrg::Pipt) {
-        SASOS_ASSERT(pfn.has_value(),
-                     "pipt flush needs the physical page");
-        first_pline = (pfn->number() << page_shift) / config_.lineBytes;
-    }
-    for (u64 i = 0; i < lines_per_page; ++i) {
-        ++result.lineAccesses;
-        const u64 vline = first_vline + i;
-        const u64 pline = first_pline + i;
-        const std::size_t set = indexOf(vline, pline);
-        // Match on the stored virtual line so Vipt (physical tags)
-        // still flushes by virtual page; Pipt matches physical lines.
-        bool removed_dirty = false;
-        bool removed = false;
-        if (config_.org == CacheOrg::Pipt) {
-            LineState *line = array_.probe(set, pline);
-            if (line != nullptr) {
-                removed = true;
-                removed_dirty = line->dirty;
-                array_.invalidate(set, pline);
-            }
-        } else {
-            const u64 tag = tagOf(vline, pline);
-            if (config_.org == CacheOrg::Vivt) {
-                LineState *line = array_.probe(set, tag);
-                if (line != nullptr) {
-                    removed = true;
-                    removed_dirty = line->dirty;
-                    array_.invalidate(set, tag);
-                }
-            } else {
-                // Vipt: tags are physical; scan the set for the vline.
-                u64 found_tag = 0;
-                bool found = false;
-                bool found_dirty = false;
-                array_.forEachInSet(set, [&](u64 tag_key, LineState &state) {
-                    if (state.vline == vline) {
-                        found = true;
-                        found_tag = tag_key;
-                        found_dirty = state.dirty;
-                    }
-                });
-                if (found) {
-                    removed = true;
-                    removed_dirty = found_dirty;
-                    array_.invalidate(set, found_tag);
-                }
-            }
-        }
-        if (removed) {
+    result.lineAccesses = lines_per_page;
+
+    // Both counts are powers of two, so the page's lines fill a
+    // contiguous, non-wrapping run of sets (every set when the page
+    // has more lines than the cache has sets).
+    const u64 sets = config_.sets();
+    std::array<u64, vm::kPageBytes / 64> seen{}; // a bit per page line
+    array_.invalidateInSets(
+        static_cast<std::size_t>(first_line & (sets - 1)),
+        static_cast<std::size_t>(std::min(lines_per_page, sets)),
+        [&](u64 tag, const LineState &line) {
+            // Tags are the indexing line for Vivt and Pipt; Vipt tags
+            // are physical, so match its stored virtual line.
+            const u64 offset =
+                (config_.org == CacheOrg::Vipt ? line.vline : tag) -
+                first_line;
+            if (offset >= lines_per_page)
+                return false;
+            // One flush access per line drops at most one line. A
+            // Vipt set can hold a virtual line twice, under two
+            // physical lines; the highest way goes (the scan runs
+            // from high ways to low) and the lower synonym stays.
+            u64 &word = seen[offset / 64];
+            const u64 bit = u64{1} << (offset % 64);
+            if (word & bit)
+                return false;
+            word |= bit;
             ++result.invalidated;
-            ++flushedLines;
-            if (removed_dirty) {
-                ++result.writebacks;
-                ++writebacks;
-            }
-        }
-    }
+            result.writebacks += line.dirty ? 1 : 0;
+            return true;
+        });
+    flushedLines += result.invalidated;
+    writebacks += result.writebacks;
     return result;
 }
 

@@ -103,13 +103,20 @@ class DataCache
     std::optional<CacheVictim> fill(vm::VAddr va, vm::PAddr pa, bool store);
 
     /**
-     * Flush every line of a virtual page, one cache access per line
-     * in the page (paper Section 4.1.3).
+     * Flush every line of a virtual page.
+     *
+     * Simulated cost: one cache access per line of the page (paper
+     * Section 4.1.3), reported in FlushResult::lineAccesses whether
+     * or not the line is present. Host cost: one pass over the sets
+     * the page's lines index, min(lines per page, sets) of them,
+     * rather than a probe per line.
+     *
+     * Vipt drops at most one line per virtual line, its highest way;
+     * see DESIGN.md on the stale synonym this can leave.
      * @param pfn  required for Pipt (flush needs the translation);
      *             optional otherwise.
      */
-    FlushResult flushPage(vm::Vpn vpn, std::optional<vm::Pfn> pfn,
-                          int page_shift = vm::kPageShift);
+    FlushResult flushPage(vm::Vpn vpn, std::optional<vm::Pfn> pfn);
 
     /** Invalidate everything, writing back dirty lines. */
     FlushResult flushAll();

@@ -123,14 +123,10 @@ Tlb::purgePage(vm::Vpn vpn)
         return dropped ? 1 : 0;
     }
     // Conventional: one replica per ASID may exist; scan the set.
-    u64 dropped = 0;
-    std::vector<Key> victims;
-    array_.forEachInSet(setOf(vpn), [&](const Key &key, TlbEntry &) {
-        if (key.vpn == vpn.number())
-            victims.push_back(key);
-    });
-    for (const Key &key : victims)
-        dropped += array_.invalidate(setOf(vpn), key) ? 1 : 0;
+    const u64 dropped = array_.invalidateInSets(
+        setOf(vpn), 1, [vpn](const Key &key, const TlbEntry &) {
+            return key.vpn == vpn.number();
+        });
     purgedEntries += dropped;
     return dropped;
 }

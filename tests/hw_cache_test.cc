@@ -136,8 +136,90 @@ TEST(AssocCacheTest, InvalidateIfScansEverything)
     const PurgeResult result = cache.invalidateIf(
         [](u64 tag, const int &) { return tag % 2 == 0; });
     EXPECT_EQ(result.scanned, 4u);
+    EXPECT_EQ(result.scanned, cache.capacity());
     EXPECT_EQ(result.invalidated, 2u);
     EXPECT_EQ(cache.occupancy(), 2u);
+}
+
+TEST(AssocCacheTest, InvalidateInSetsStopsAtTheRangeEnds)
+{
+    // Two ways of every set hold a tag; sets 2..5 are the range.
+    AssocCache<u64, int> cache(8, 2, PolicyKind::Lru);
+    for (std::size_t set = 0; set < 8; ++set) {
+        cache.insert(set, 10 + set, 0);
+        cache.insert(set, 20 + set, 0);
+    }
+    const u64 dropped = cache.invalidateInSets(
+        2, 4, [](u64, const int &) { return true; });
+    EXPECT_EQ(dropped, 8u);
+    EXPECT_EQ(cache.occupancy(), 8u);
+    for (std::size_t set = 0; set < 8; ++set) {
+        const bool in_range = set >= 2 && set < 6;
+        SCOPED_TRACE("set " + std::to_string(set));
+        EXPECT_EQ(cache.probe(set, 10 + set) == nullptr, in_range);
+        EXPECT_EQ(cache.probe(set, 20 + set) == nullptr, in_range);
+    }
+    EXPECT_EQ(cache.invalidateInSets(
+                  7, 1, [](u64 tag, const int &) { return tag == 17; }),
+              1u);
+    EXPECT_EQ(cache.probe(7, 17), nullptr);
+    EXPECT_NE(cache.probe(7, 27), nullptr);
+    EXPECT_EQ(cache.invalidateInSets(
+                  0, 0, [](u64, const int &) { return true; }),
+              0u);
+}
+
+TEST(AssocCacheTest, InvalidateInSetsSeesHighWaysFirst)
+{
+    // Every payload carries the same key; a pred that takes only the
+    // first match must drop the highest way.
+    AssocCache<u64, int> cache(1, 4, PolicyKind::Lru);
+    for (u64 tag = 0; tag < 4; ++tag)
+        cache.insert(0, tag, 7);
+    bool taken = false;
+    EXPECT_EQ(cache.invalidateInSets(0, 1,
+                                     [&](u64, const int &key) {
+                                         if (key != 7 || taken)
+                                             return false;
+                                         taken = true;
+                                         return true;
+                                     }),
+              1u);
+    EXPECT_EQ(cache.probe(0, 3), nullptr);
+    for (u64 tag = 0; tag < 3; ++tag)
+        EXPECT_NE(cache.probe(0, tag), nullptr);
+}
+
+TEST(AssocCacheTest, InvalidateInSetsKeepsWideSetIndexConsistent)
+{
+    // 32 ways is an indexed set: every drop must leave the tag index
+    // able to find the survivors and to take new tags.
+    AssocCache<u64, int> cache(2, 32, PolicyKind::Lru);
+    for (u64 tag = 0; tag < 32; ++tag) {
+        cache.insert(0, tag, static_cast<int>(tag));
+        cache.insert(1, tag, static_cast<int>(tag));
+    }
+    EXPECT_EQ(cache.invalidateInSets(
+                  0, 1, [](u64 tag, const int &) { return tag % 3 != 0; }),
+              21u);
+    for (u64 tag = 0; tag < 32; ++tag) {
+        const int *got = cache.probe(0, tag);
+        EXPECT_EQ(got != nullptr, tag % 3 == 0) << "tag " << tag;
+        if (got != nullptr) {
+            EXPECT_EQ(*got, static_cast<int>(tag));
+        }
+        EXPECT_NE(cache.probe(1, tag), nullptr) << "tag " << tag;
+    }
+    for (u64 tag = 100; tag < 121; ++tag)
+        EXPECT_FALSE(cache.insert(0, tag, 1).has_value());
+    for (u64 tag = 100; tag < 121; ++tag)
+        EXPECT_NE(cache.probe(0, tag), nullptr);
+    EXPECT_EQ(cache.occupancy(), cache.capacity());
+    const PurgeResult all = cache.invalidateIf(
+        [](u64, const int &) { return true; });
+    EXPECT_EQ(all.scanned, cache.capacity());
+    EXPECT_EQ(all.invalidated, cache.capacity());
+    EXPECT_EQ(cache.probe(0, 0), nullptr);
 }
 
 TEST(AssocCacheTest, InvalidateAllResets)
@@ -165,6 +247,14 @@ TEST(AssocCacheDeathTest, DuplicateInsertPanics)
     AssocCache<u64, int> cache(1, 2, PolicyKind::Lru);
     cache.insert(0, 1, 1);
     EXPECT_DEATH(cache.insert(0, 1, 2), "duplicate");
+}
+
+TEST(AssocCacheDeathTest, InvalidateInSetsPastTheLastSetPanics)
+{
+    AssocCache<u64, int> cache(4, 2, PolicyKind::Lru);
+    const auto all = [](u64, const int &) { return true; };
+    EXPECT_DEATH(cache.invalidateInSets(3, 2, all), "out of range");
+    EXPECT_DEATH(cache.invalidateInSets(5, 0, all), "out of range");
 }
 
 /**
@@ -485,6 +575,21 @@ TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
             }
             ASSERT_EQ(result.scanned, model.capacity());
             ASSERT_EQ(result.invalidated, invalidated);
+        } else if (rare == 3) {
+            const std::size_t first = rng.nextBelow(kSets + 1);
+            const std::size_t count = rng.nextBelow(kSets - first + 1);
+            const u64 mod = 2 + rng.nextBelow(4);
+            const u64 dropped = cache->invalidateInSets(
+                first, count, [&](u64 t, const u64 &) { return t % mod == 0; });
+            u64 invalidated = 0;
+            for (std::size_t i = first * ways; i < (first + count) * ways;
+                 ++i) {
+                if (model.slot(i).valid && model.slot(i).tag % mod == 0) {
+                    model.slot(i).valid = false;
+                    ++invalidated;
+                }
+            }
+            ASSERT_EQ(dropped, invalidated);
         } else if (rare <= 5) {
             const std::size_t live = model.occupancy();
             const std::size_t n = rng.nextBelow(live + 1);
@@ -728,3 +833,296 @@ TEST(DataCacheTest, ContainsVirtualLineReflectsContents)
     cache.fill(va, vm::PAddr(0x72000), false);
     EXPECT_TRUE(cache.containsVirtualLine(va.raw() / config.lineBytes));
 }
+
+TEST_P(DataCacheOrgTest, FlushOfEmptyPageStillCostsEveryLine)
+{
+    DataCache cache(makeConfig(2), &root);
+    const vm::VAddr other(0x9000);
+    cache.fill(other, *pa(other), true);
+    const vm::VAddr page(0x4000);
+    const FlushResult result = cache.flushPage(
+        vm::pageOf(page), vm::Pfn(pa(page)->raw() >> vm::kPageShift));
+    EXPECT_EQ(result.lineAccesses, 128u);
+    EXPECT_EQ(result.invalidated, 0u);
+    EXPECT_EQ(result.writebacks, 0u);
+    EXPECT_EQ(cache.occupancy(), 1u);
+    EXPECT_EQ(cache.flushedLines.value(), 0u);
+}
+
+TEST(DataCacheTest, ViptFlushDropsOnlyHighestWayOfAVirtualLine)
+{
+    // One virtual line filled under two physical lines (a remap the
+    // flush has not caught up with) sits twice in its 2-way set. A
+    // flush probes that virtual line once and drops the highest way
+    // only; the lower, stale synonym survives.
+    stats::Group root("test");
+    DataCacheConfig config;
+    config.org = CacheOrg::Vipt;
+    config.ways = 2;
+    DataCache cache(config, &root);
+    const vm::VAddr va(0x4040);
+    const vm::PAddr old_pa(0x71040), new_pa(0x93040);
+    cache.fill(va, old_pa, false); // way 0
+    cache.fill(va, new_pa, true);  // way 1
+    ASSERT_EQ(cache.occupancy(), 2u);
+
+    const FlushResult result = cache.flushPage(vm::pageOf(va), std::nullopt);
+    EXPECT_EQ(result.lineAccesses, 128u);
+    EXPECT_EQ(result.invalidated, 1u);
+    EXPECT_EQ(result.writebacks, 1u);
+    EXPECT_EQ(cache.occupancy(), 1u);
+    EXPECT_TRUE(cache.access(va, old_pa, false));
+    EXPECT_FALSE(cache.access(va, new_pa, false));
+}
+
+namespace
+{
+
+/**
+ * The reference a set-range page flush must match: a probe for
+ * every line of the page, dropping the exact tag on Vivt and Pipt,
+ * and on Vipt the highest way whose stored virtual line matches.
+ * Fills and lookups drive an AssocCache of the same geometry and
+ * policy the way DataCache drives its own, so the two save to the
+ * same image while they agree.
+ */
+class PerLineFlushCache
+{
+  public:
+    struct Line
+    {
+        bool dirty = false;
+        u64 vline = 0;
+        u64 pline = 0;
+    };
+
+    explicit PerLineFlushCache(const DataCacheConfig &config)
+        : config_(config),
+          array_(config.sets(), config.ways, config.policy, config.seed)
+    {
+    }
+
+    bool
+    access(u64 vline, u64 pline, bool store)
+    {
+        Line *line = array_.lookup(indexOf(vline, pline), tagOf(vline, pline));
+        if (line != nullptr && store)
+            line->dirty = true;
+        return line != nullptr;
+    }
+
+    std::optional<Line>
+    fill(u64 vline, u64 pline, bool store)
+    {
+        auto victim = array_.insert(indexOf(vline, pline),
+                                    tagOf(vline, pline),
+                                    Line{store, vline, pline});
+        if (!victim)
+            return std::nullopt;
+        return victim->payload;
+    }
+
+    FlushResult
+    flushPage(u64 vpn, u64 pfn)
+    {
+        FlushResult result;
+        const u64 lines_per_page = vm::kPageBytes / config_.lineBytes;
+        for (u64 i = 0; i < lines_per_page; ++i) {
+            ++result.lineAccesses;
+            const u64 vline = vpn * lines_per_page + i;
+            const u64 pline = pfn * lines_per_page + i;
+            const std::size_t set = indexOf(vline, pline);
+            std::optional<u64> tag;
+            bool dirty = false;
+            if (config_.org == CacheOrg::Vipt) {
+                // Slots are visited in (set, way) order and a vline
+                // lives in one set, so the last match is the highest
+                // way of that set.
+                array_.forEach([&](u64 t, const Line &line) {
+                    if (line.vline == vline) {
+                        tag = t;
+                        dirty = line.dirty;
+                    }
+                });
+            } else {
+                const u64 t = tagOf(vline, pline);
+                if (const Line *line = array_.probe(set, t)) {
+                    tag = t;
+                    dirty = line->dirty;
+                }
+            }
+            if (tag) {
+                array_.invalidate(set, *tag);
+                ++result.invalidated;
+                result.writebacks += dirty ? 1 : 0;
+            }
+        }
+        return result;
+    }
+
+    std::size_t occupancy() const { return array_.occupancy(); }
+
+    /** The bytes DataCache::save writes for the same state. */
+    std::vector<u8>
+    image() const
+    {
+        snap::SnapWriter w;
+        w.putTag("dcache");
+        array_.save(
+            w, [](snap::SnapWriter &out, const u64 &tag) { out.put64(tag); },
+            [](snap::SnapWriter &out, const Line &line) {
+                out.putBool(line.dirty);
+                out.put64(line.vline);
+                out.put64(line.pline);
+            });
+        return std::move(w).seal();
+    }
+
+  private:
+    std::size_t
+    indexOf(u64 vline, u64 pline) const
+    {
+        const u64 line = config_.org == CacheOrg::Pipt ? pline : vline;
+        return static_cast<std::size_t>(line & (config_.sets() - 1));
+    }
+
+    u64
+    tagOf(u64 vline, u64 pline) const
+    {
+        return config_.org == CacheOrg::Vivt ? vline : pline;
+    }
+
+    DataCacheConfig config_;
+    AssocCache<u64, Line> array_;
+};
+
+std::vector<u8>
+imageOf(const DataCache &cache)
+{
+    snap::SnapWriter w;
+    cache.save(w);
+    return std::move(w).seal();
+}
+
+/** Held inline with no padding, so gtest's byte dump is stable. */
+struct FlushDiffParam
+{
+    CacheOrg org;
+    u32 ways;
+    u64 sizeBytes;
+};
+static_assert(sizeof(FlushDiffParam) == 16);
+
+class DataCacheFlushDiffTest : public ::testing::TestWithParam<FlushDiffParam>
+{
+};
+
+} // namespace
+
+/**
+ * Seeded soup of accesses, fills, remaps and page flushes against the
+ * per-line shadow. Every FlushResult must match, and after every
+ * flush both caches must save the same image, so the surviving lines
+ * agree way by way. Remaps give Vipt sets the same virtual line under
+ * two physical lines and give Pipt frames two virtual pages; 24
+ * pages overflow even the 64 KiB cache, so sets stay full.
+ */
+TEST_P(DataCacheFlushDiffTest, MatchesPerLineFlush)
+{
+    const FlushDiffParam param = GetParam();
+    DataCacheConfig config;
+    config.sizeBytes = param.sizeBytes;
+    config.ways = param.ways;
+    config.org = param.org;
+    stats::Group root("test");
+    DataCache cache(config, &root);
+    PerLineFlushCache shadow(config);
+
+    constexpr u64 kPages = 24;
+    constexpr u64 kFrames = 40;
+    constexpr u64 kFrameBase = 0x100;
+    const u64 lines_per_page = vm::kPageBytes / config.lineBytes;
+    Rng rng(0xF1u + param.ways * 7 + param.sizeBytes +
+            static_cast<u64>(param.org));
+    std::vector<u64> frame(kPages);
+    for (u64 vpn = 0; vpn < kPages; ++vpn)
+        frame[vpn] = kFrameBase + vpn;
+
+    u64 flushes = 0;
+    u64 invalidated = 0;
+    u64 writebacks = 0;
+    for (int op = 0; op < 6000; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        const u64 vpn = rng.nextBelow(kPages);
+        const u64 roll = rng.nextBelow(100);
+        if (roll < 85) {
+            // Hot lines at both ends of the page, so flushes find
+            // several lines resident and the first and last sets of
+            // the page's range are both in play.
+            const u64 end = rng.nextBelow(3);
+            const u64 line = end == 0   ? rng.nextBelow(8)
+                             : end == 1 ? lines_per_page - 1 - rng.nextBelow(8)
+                                        : rng.nextBelow(lines_per_page);
+            const bool store = rng.nextBelow(3) == 0;
+            const vm::VAddr va((vpn * lines_per_page + line) *
+                               config.lineBytes);
+            const vm::PAddr pa((frame[vpn] * lines_per_page + line) *
+                               config.lineBytes);
+            const bool hit = cache.access(va, pa, store);
+            ASSERT_EQ(hit, shadow.access(va.raw() / config.lineBytes,
+                                         pa.raw() / config.lineBytes,
+                                         store));
+            if (hit)
+                continue;
+            const auto victim = cache.fill(va, pa, store);
+            const auto want = shadow.fill(va.raw() / config.lineBytes,
+                                          pa.raw() / config.lineBytes, store);
+            ASSERT_EQ(victim.has_value(), want.has_value());
+            if (victim) {
+                ASSERT_EQ(victim->vline, want->vline);
+                ASSERT_EQ(victim->pline, want->pline);
+                ASSERT_EQ(victim->dirty, want->dirty);
+            }
+        } else if (roll < 92) {
+            // Remap, sometimes onto another page's frame.
+            frame[vpn] = kFrameBase + rng.nextBelow(kFrames);
+        } else {
+            // Flush, now and then through a stale frame number, as a
+            // deferred flush after a remap would.
+            const u64 pfn = rng.nextBelow(4) == 0
+                                ? kFrameBase + rng.nextBelow(kFrames)
+                                : frame[vpn];
+            const FlushResult got = cache.flushPage(vm::Vpn(vpn), vm::Pfn(pfn));
+            const FlushResult want = shadow.flushPage(vpn, pfn);
+            ASSERT_EQ(got.lineAccesses, lines_per_page);
+            ASSERT_EQ(got.lineAccesses, want.lineAccesses);
+            ASSERT_EQ(got.invalidated, want.invalidated);
+            ASSERT_EQ(got.writebacks, want.writebacks);
+            ASSERT_EQ(imageOf(cache), shadow.image());
+            ++flushes;
+            invalidated += got.invalidated;
+            writebacks += got.writebacks;
+        }
+        ASSERT_EQ(cache.occupancy(), shadow.occupancy());
+    }
+    EXPECT_EQ(imageOf(cache), shadow.image());
+    EXPECT_EQ(cache.flushedLines.value(), invalidated);
+    EXPECT_GT(invalidated, flushes) << "flushes must find lines";
+    EXPECT_GT(writebacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrgWaysSize, DataCacheFlushDiffTest,
+    ::testing::ValuesIn([] {
+        std::vector<FlushDiffParam> params;
+        for (CacheOrg org : {CacheOrg::Vivt, CacheOrg::Vipt, CacheOrg::Pipt})
+            for (u32 ways : {1u, 2u, 4u})
+                for (u64 size : {u64{4 * 1024}, u64{64 * 1024}})
+                    params.push_back({org, ways, size});
+        return params;
+    }()),
+    [](const ::testing::TestParamInfo<FlushDiffParam> &info) {
+        return std::string(toString(info.param.org)) + "_" +
+               std::to_string(info.param.ways) + "way_" +
+               std::to_string(info.param.sizeBytes / 1024) + "KiB";
+    });

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "hw/pagegroup_cache.hh"
 #include "hw/tlb.hh"
 #include "sim/stats.hh"
@@ -120,6 +123,37 @@ TEST(TlbTest, PurgePageDropsAllReplicas)
     EXPECT_EQ(tlb.purgePage(vm::Vpn(5)), 2u);
     EXPECT_EQ(tlb.occupancy(), 1u);
     EXPECT_NE(tlb.peek(vm::Vpn(6), 1), nullptr);
+}
+
+TEST(TlbTest, PurgePageDropsReplicasUnderThreeAsids)
+{
+    // Once fully associative (a 32-way indexed set), once 4 sets of 4
+    // ways where pages 5 and 9 fill one set.
+    for (const auto &[ways, sets] :
+         {std::pair<std::size_t, std::size_t>{32, 1}, {4, 4}}) {
+        SCOPED_TRACE(std::to_string(sets) + " sets");
+        stats::Group root("t");
+        Tlb tlb(smallTlb(TlbKind::Conventional, ways, sets), &root);
+        for (DomainId asid : {1, 2, 3})
+            tlb.insert(vm::Vpn(5), entryFor(50, vm::Access::Read, asid));
+        tlb.insert(vm::Vpn(9), entryFor(90, vm::Access::Read, 1));
+        tlb.insert(vm::Vpn(6), entryFor(60, vm::Access::Read, 3));
+        ASSERT_EQ(tlb.occupancy(), 5u);
+
+        EXPECT_EQ(tlb.purgePage(vm::Vpn(5)), 3u);
+        EXPECT_EQ(tlb.purgedEntries.value(), 3u);
+        EXPECT_EQ(tlb.occupancy(), 2u);
+        for (DomainId asid : {1, 2, 3})
+            EXPECT_EQ(tlb.peek(vm::Vpn(5), asid), nullptr);
+        EXPECT_NE(tlb.peek(vm::Vpn(9), 1), nullptr);
+        EXPECT_NE(tlb.peek(vm::Vpn(6), 3), nullptr);
+        EXPECT_EQ(tlb.purgePage(vm::Vpn(5)), 0u);
+
+        // The freed ways take the page back.
+        tlb.insert(vm::Vpn(5), entryFor(51, vm::Access::Read, 2));
+        ASSERT_NE(tlb.peek(vm::Vpn(5), 2), nullptr);
+        EXPECT_EQ(tlb.peek(vm::Vpn(5), 2)->pfn, vm::Pfn(51));
+    }
 }
 
 TEST(TlbTest, PurgePageAsidDropsOneReplica)
