@@ -86,17 +86,14 @@ struct ModelUnderTest
 inline std::vector<ModelUnderTest>
 standardModels(const Options &options)
 {
-    return {
-        {"plb", core::SystemConfig::fromOptions(
-                    options, core::SystemConfig::plbSystem())},
-        {"page-group", core::SystemConfig::fromOptions(
-                           options, core::SystemConfig::pageGroupSystem())},
-        {"conventional", core::SystemConfig::fromOptions(
-                             options,
-                             core::SystemConfig::conventionalSystem())},
-        {"pkey", core::SystemConfig::fromOptions(
-                     options, core::SystemConfig::pkeySystem())},
-    };
+    std::vector<ModelUnderTest> models;
+    for (core::ModelKind kind : core::allModels()) {
+        models.push_back(
+            {core::toString(kind),
+             core::SystemConfig::fromOptions(
+                 options, core::SystemConfig::forModel(kind))});
+    }
+    return models;
 }
 
 /** The comparison set extended with the purge-on-switch baseline and

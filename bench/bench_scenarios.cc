@@ -3,7 +3,7 @@
  * The application-scenario bench + differential oracle gate.
  *
  * Builds the three seeded scenarios (CoW fork tree, portal RPC
- * chains, web-server-shaped mix), replays each on all three
+ * chains, web-server-shaped mix), replays each on all four
  * protection architectures clean and fault-injected, and prints a
  * Table-1-style comparison: simulated cycles per reference, domain
  * switches, protection/translation faults and the CoW fork counters,

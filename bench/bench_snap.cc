@@ -3,7 +3,7 @@
  * The snapshot subsystem's bench: the resume-equivalence oracle and
  * the warm-start sweep speedup.
  *
- * Phase 1 (oracle) runs every machine -- the three protection models,
+ * Phase 1 (oracle) runs every machine -- the four protection models,
  * a fault-injected variant and the four-core multi-core engine --
  * uninterrupted and split (run, snapshot through a file round trip,
  * restore onto freshly constructed objects, continue), and demands

@@ -257,7 +257,7 @@ ConventionalSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
     // drop it (uniform rule for every hook).
     memo_.valid = false;
     (void)from;
-    (void)to;
+    running_ = to;
     if (config_.purgeTlbOnSwitch) {
         // Protection *and* translation state discarded together --
         // the translations were the same for every domain.
@@ -341,9 +341,14 @@ ConventionalSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 }
 
 vm::Access
-ConventionalSystem::effectiveRights(os::DomainId domain, vm::Vpn vpn)
+ConventionalSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 {
-    return state_.effectiveRights(domain, vpn);
+    // Untagged (purge-on-switch) entries belong to the running domain
+    // alone: every other domain reaches them only after a purge.
+    if (config_.purgeTlbOnSwitch && domain != running_)
+        return vm::Access::None;
+    const hw::TlbEntry *entry = tlb_.peek(vpn, tagOf(domain));
+    return entry ? entry->rights : vm::Access::None;
 }
 
 void
@@ -360,6 +365,8 @@ ConventionalSystem::load(snap::SnapReader &r)
     // Maintenance may touch entries behind the same-page memo;
     // drop it (uniform rule for every hook).
     memo_.valid = false;
+    // The image does not say who owns the untagged entries.
+    running_ = 0;
     r.expectTag("convmodel");
     tlb_.load(r);
     mem_.load(r);

@@ -66,7 +66,7 @@ class ConventionalSystem : public os::ProtectionModel
     void onDomainDestroyed(os::DomainId domain) override;
     void onSegmentDestroyed(const vm::Segment &seg) override;
     bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
-    vm::Access effectiveRights(os::DomainId domain, vm::Vpn vpn) override;
+    vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
 
     void save(snap::SnapWriter &w) const override;
     void load(snap::SnapReader &r) override;
@@ -119,6 +119,11 @@ class ConventionalSystem : public os::ProtectionModel
     hw::Tlb tlb_;
     MemoryPath mem_;
     SamePageMemo memo_;
+    /** The domain the last switch hook switched to: in purge-on-switch
+     * mode it alone owns the untagged TLB entries (cachedRights). 0,
+     * no domain, until the first switch and after a load; it is not
+     * serialized. */
+    os::DomainId running_ = 0;
 };
 
 } // namespace sasos::core

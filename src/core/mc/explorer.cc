@@ -64,19 +64,16 @@ explore(const ExplorerConfig &config)
 CrossModelResult
 exploreCrossModel(const ExplorerConfig &config)
 {
-    constexpr ModelKind kModels[] = {ModelKind::Plb, ModelKind::PageGroup,
-                                     ModelKind::Conventional,
-                                     ModelKind::Pkey};
-    constexpr unsigned kModelCount = 4;
+    constexpr auto kModels = allModels();
     CrossModelResult result;
     result.runs.resize(config.seeds);
     ThreadPool pool(config.threads);
     parallelFor(pool, config.seeds, [&](u64 i) {
         CrossModelRun &run = result.runs[i];
         run.scheduleSeed = config.firstSeed + i;
-        // The four models of one seed run serially in this cell so
-        // their interleavings (and tids) stay directly comparable.
-        for (unsigned m = 0; m < kModelCount; ++m) {
+        // The models of one seed run serially in this cell so their
+        // interleavings (and tids) stay directly comparable.
+        for (unsigned m = 0; m < kModels.size(); ++m) {
             McConfig cell = config.base;
             const SystemConfig preset = SystemConfig::forModel(kModels[m]);
             cell.system = preset;
@@ -88,7 +85,7 @@ exploreCrossModel(const ExplorerConfig &config)
         }
         obs::setThreadId(0);
         run.outcomesAgree = true;
-        for (unsigned m = 1; m < kModelCount; ++m) {
+        for (unsigned m = 1; m < kModels.size(); ++m) {
             run.outcomesAgree =
                 run.outcomesAgree &&
                 run.byModel[m - 1].quiescentOutcomes ==

@@ -76,7 +76,7 @@ struct ExplorerResult
 /** Explore K interleavings of `config.base` for one model. */
 ExplorerResult explore(const ExplorerConfig &config);
 
-/** One schedule seed compared across the three protection models:
+/** One schedule seed compared across the four protection models:
  * quiescent outcome vectors must be identical. */
 struct CrossModelRun
 {
@@ -100,9 +100,10 @@ struct CrossModelResult
 };
 
 /**
- * Explore K interleavings, running each against all three protection
- * models (base.system's structure sizes are replaced by each model's
- * preset) and comparing their quiescent allow/deny vectors.
+ * Explore K interleavings, running each against every protection
+ * model in core::allModels() (base.system's structure sizes are
+ * replaced by each model's preset) and comparing their quiescent
+ * allow/deny vectors.
  */
 CrossModelResult exploreCrossModel(const ExplorerConfig &config);
 

@@ -187,9 +187,9 @@ class DeferredModel : public os::ProtectionModel
     }
 
     vm::Access
-    effectiveRights(os::DomainId domain, vm::Vpn vpn) override
+    cachedRights(os::DomainId domain, vm::Vpn vpn) const override
     {
-        return sys_.currentModel().effectiveRights(domain, vpn);
+        return sys_.currentModel().cachedRights(domain, vpn);
     }
 
   private:
@@ -778,33 +778,6 @@ McSystem::buildResult()
     return result;
 }
 
-vm::Access
-McSystem::hwRights(Core &c, os::DomainId domain, vm::Vpn vpn)
-{
-    if (c.plb != nullptr) {
-        const auto match = c.plb->protPeek(domain, vm::baseOf(vpn));
-        return match ? match->rights : vm::Access::None;
-    }
-    if (c.conv != nullptr) {
-        const os::DomainId asid =
-            config_.system.purgeTlbOnSwitch ? 0 : domain;
-        const hw::TlbEntry *entry = c.conv->tlb().peek(vpn, asid);
-        return entry ? entry->rights : vm::Access::None;
-    }
-    if (c.pkey != nullptr) {
-        // The hardware grants only what a TLB-resident key tag plus a
-        // live (domain, key) register jointly allow.
-        const hw::TlbEntry *entry = c.pkey->tlb().peek(vpn);
-        if (entry == nullptr)
-            return vm::Access::None;
-        const auto perm = c.pkey->keyCache().peek(domain, entry->aid);
-        return perm ? *perm : vm::Access::None;
-    }
-    // Page-group hardware semantics live in the per-core manager (the
-    // TLB entry is synced from it): group rights, D bit, membership.
-    return c.pg->manager().hwRights(domain, vpn);
-}
-
 void
 McSystem::checkHwSubset()
 {
@@ -815,7 +788,7 @@ McSystem::checkHwSubset()
         for (const auto &[first, pages] : segments_) {
             for (u64 p = 0; p < pages; ++p) {
                 const vm::Vpn vpn = first + p;
-                const vm::Access hw = hwRights(c, c.domain, vpn);
+                const vm::Access hw = c.model->cachedRights(c.domain, vpn);
                 const vm::Access canonical =
                     state_.effectiveRights(c.domain, vpn);
                 if (!vm::includes(canonical, hw)) {

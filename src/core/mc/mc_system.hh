@@ -268,8 +268,6 @@ class McSystem
      * (the IPI handler's conservative invalidation); @return how
      * many were stale. */
     u64 purgeStale(Core &c, const RemoteOp &op);
-    /** Rights the core's hardware would grant right now, hw-probed. */
-    vm::Access hwRights(Core &c, os::DomainId domain, vm::Vpn vpn);
     /** hw ⊆ canonical over every (core, its domain, page) triple;
      * valid only at global quiescence (no shootdown in flight). */
     void checkHwSubset();

@@ -1,6 +1,6 @@
 /**
  * @file
- * The data-side memory hierarchy shared by all three machines: the
+ * The data-side memory hierarchy shared by all four machines: the
  * first-level cache (whose indexing/tagging varies by model) backed
  * by an optional physically indexed second-level cache.
  *

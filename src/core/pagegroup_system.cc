@@ -453,8 +453,10 @@ PageGroupSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 }
 
 vm::Access
-PageGroupSystem::effectiveRights(os::DomainId domain, vm::Vpn vpn)
+PageGroupSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 {
+    // Page-group hardware semantics live in the manager (the TLB
+    // entry is synced from it): group rights, D bit, membership.
     return manager_.hwRights(domain, vpn);
 }
 

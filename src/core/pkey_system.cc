@@ -534,11 +534,14 @@ PkeySystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 }
 
 vm::Access
-PkeySystem::effectiveRights(os::DomainId domain, vm::Vpn vpn)
+PkeySystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 {
-    // Like the domain-page model, the key model expresses the
-    // canonical state exactly (one register per rights value).
-    return state_.effectiveRights(domain, vpn);
+    // The hardware grants only what a TLB-resident key tag plus a
+    // live (domain, key) register jointly allow.
+    const hw::TlbEntry *entry = tlb_.peek(vpn);
+    if (entry == nullptr)
+        return vm::Access::None;
+    return keyCache_.peek(domain, entry->aid).value_or(vm::Access::None);
 }
 
 void

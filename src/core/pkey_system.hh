@@ -69,7 +69,7 @@ class PkeySystem : public os::ProtectionModel
     void onDomainDestroyed(os::DomainId domain) override;
     void onSegmentDestroyed(const vm::Segment &seg) override;
     bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
-    vm::Access effectiveRights(os::DomainId domain, vm::Vpn vpn) override;
+    vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
 
     void save(snap::SnapWriter &w) const override;
     void load(snap::SnapReader &r) override;

@@ -413,10 +413,10 @@ PlbSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 }
 
 vm::Access
-PlbSystem::effectiveRights(os::DomainId domain, vm::Vpn vpn)
+PlbSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 {
-    // The domain-page model expresses the canonical state exactly.
-    return state_.effectiveRights(domain, vpn);
+    const auto match = protPeek(domain, vm::baseOf(vpn));
+    return match ? match->rights : vm::Access::None;
 }
 
 void

@@ -180,9 +180,9 @@ BroadcastModel::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 }
 
 vm::Access
-BroadcastModel::effectiveRights(os::DomainId domain, vm::Vpn vpn)
+BroadcastModel::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 {
-    return cpus_[current_]->effectiveRights(domain, vpn);
+    return cpus_[current_]->cachedRights(domain, vpn);
 }
 
 SmpSystem::SmpSystem(const SystemConfig &config, unsigned cpus)

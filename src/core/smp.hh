@@ -71,7 +71,7 @@ class BroadcastModel : public os::ProtectionModel
     void onDomainDestroyed(os::DomainId domain) override;
     void onSegmentDestroyed(const vm::Segment &seg) override;
     bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
-    vm::Access effectiveRights(os::DomainId domain, vm::Vpn vpn) override;
+    vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
 
     /** @name Statistics */
     /// @{

@@ -2,7 +2,7 @@
  * @file
  * Configuration for a simulated machine + kernel (a "system").
  *
- * Presets exist for the paper's three architectures; every knob can
+ * Presets exist for the four protection architectures; every knob can
  * be overridden individually or through Options key=value pairs (see
  * fromOptions), which is how the benches expose parameter sweeps.
  */
@@ -10,6 +10,7 @@
 #ifndef SASOS_CORE_SYSTEM_CONFIG_HH
 #define SASOS_CORE_SYSTEM_CONFIG_HH
 
+#include <array>
 #include <string>
 
 #include "fault/fault.hh"
@@ -37,6 +38,15 @@ enum class ModelKind
      * per-domain key-permission register file (MPK style). */
     Pkey,
 };
+
+/** Every protection architecture, in the order the oracles, the
+ * explorer and the benches list them. */
+constexpr std::array<ModelKind, 4>
+allModels()
+{
+    return {ModelKind::Plb, ModelKind::PageGroup, ModelKind::Conventional,
+            ModelKind::Pkey};
+}
 
 const char *toString(ModelKind kind);
 ModelKind parseModelKind(const std::string &name);

@@ -1,6 +1,6 @@
 #include "fault/oracle.hh"
 
-#include <sstream>
+#include <algorithm>
 
 #include "core/system.hh"
 #include "sim/logging.hh"
@@ -189,15 +189,13 @@ applyChurn(core::System &sys, const Layout &layout, const ChurnOp &op)
     }
 }
 
-RunOutcome
-runOne(const CampaignConfig &config, const Scenario &scenario,
-       core::ModelKind kind, bool injected, const std::string &trace_path,
-       const Layout &expected)
+/** Replay the campaign trace on `sys`, applying the rights churn
+ * between references. */
+void
+replayCampaign(core::System &sys, const CampaignConfig &config,
+               const Scenario &scenario, const std::string &trace_path,
+               const Layout &expected, RunOutcome &run)
 {
-    core::SystemConfig sc = core::SystemConfig::forModel(kind);
-    sc.faults = config.faults;
-    sc.faults.enabled = injected;
-    core::System sys(sc);
     const Layout layout = setupSystem(sys, config, scenario);
     SASOS_ASSERT(layout.firstPage == expected.firstPage &&
                      layout.domains == expected.domains,
@@ -207,16 +205,12 @@ runOne(const CampaignConfig &config, const Scenario &scenario,
     for (u32 d = 0; d < config.domains; ++d)
         domain_map[static_cast<u16>(d)] = layout.domains[d];
 
-    RunOutcome outcome;
-    outcome.model = core::toString(kind);
-    outcome.injected = injected;
-    outcome.decisions.reserve(config.references);
-
+    run.decisions.reserve(config.references);
     std::size_t next_churn = 0;
     u64 ref_index = 0;
     const trace::ReplayObserver observer =
         [&](const trace::TraceRecord &, bool ok) {
-            outcome.decisions.push_back(ok ? 1 : 0);
+            run.decisions.push_back(ok ? 1 : 0);
             ++ref_index;
             while (next_churn < scenario.churn.size() &&
                    scenario.churn[next_churn].afterRef == ref_index) {
@@ -226,42 +220,7 @@ runOne(const CampaignConfig &config, const Scenario &scenario,
         };
 
     trace::TraceReader reader(trace_path);
-    const trace::ReplayResult replayed =
-        trace::replay(sys, reader, domain_map, observer);
-
-    outcome.completed = replayed.references - replayed.failedReferences;
-    outcome.failed = replayed.failedReferences;
-    outcome.simCycles = sys.cycles().count();
-    outcome.protectionFaults = sys.kernel().protectionFaults.value();
-    outcome.translationFaults = sys.kernel().translationFaults.value();
-    outcome.staleFaults = sys.kernel().staleFaults.value();
-    outcome.faultRetries = sys.kernel().faultRetries.value();
-    if (sys.injector() != nullptr) {
-        outcome.injectedEvents = sys.injector()->injected.value();
-        outcome.transients = sys.injector()->transients.value();
-    }
-
-    // Final architectural state: canonical rights of every domain on
-    // every campaign page, plus the hardware-never-exceeds-canonical
-    // safety invariant.
-    std::ostringstream snapshot;
-    for (u32 d = 0; d < config.domains; ++d) {
-        for (u32 s = 0; s < config.segments; ++s) {
-            for (u64 page = 0; page < config.pagesPerSegment; ++page) {
-                const vm::Vpn vpn(layout.firstPage[s] + page);
-                const vm::Access canonical =
-                    sys.kernel().canonicalRights(layout.domains[d], vpn);
-                snapshot << static_cast<char>(
-                    '0' + static_cast<u8>(canonical));
-                const vm::Access hw =
-                    sys.model().effectiveRights(layout.domains[d], vpn);
-                if (!vm::includes(canonical, hw))
-                    outcome.hwWithinCanonical = false;
-            }
-        }
-    }
-    outcome.rightsSnapshot = snapshot.str();
-    return outcome;
+    trace::replay(sys, reader, domain_map, observer);
 }
 
 std::string
@@ -272,14 +231,94 @@ runName(const RunOutcome &run)
 
 } // namespace
 
-const RunOutcome *
-CampaignResult::find(const std::string &model, bool injected) const
+void
+runModel(core::ModelKind kind, bool injected, const FaultConfig &faults,
+         RunOutcome &run, const std::function<void(core::System &)> &drive)
 {
-    for (const RunOutcome &run : runs) {
-        if (run.model == model && run.injected == injected)
-            return &run;
+    core::SystemConfig sc = core::SystemConfig::forModel(kind);
+    sc.faults = faults;
+    sc.faults.enabled = injected;
+    core::System sys(sc);
+    run.model = core::toString(kind);
+    run.injected = injected;
+    drive(sys);
+
+    run.completed = static_cast<u64>(
+        std::count(run.decisions.begin(), run.decisions.end(), 1));
+    run.failed = run.decisions.size() - run.completed;
+    run.simCycles = sys.cycles().count();
+    const os::Kernel &kernel = sys.kernel();
+    run.protectionFaults = kernel.protectionFaults.value();
+    run.translationFaults = kernel.translationFaults.value();
+    run.staleFaults = kernel.staleFaults.value();
+    run.faultRetries = kernel.faultRetries.value();
+    run.domainSwitches = kernel.domainSwitches.value();
+    run.forks = kernel.forks.value();
+    run.cowFaults = kernel.cowFaults.value();
+    run.cowCopies = kernel.cowCopies.value();
+    run.cowReuses = kernel.cowReuses.value();
+    if (sys.injector() != nullptr) {
+        run.injectedEvents = sys.injector()->injected.value();
+        run.transients = sys.injector()->transients.value();
     }
-    return nullptr;
+    probeFinalState(sys, run);
+}
+
+void
+probeFinalState(core::System &sys, RunOutcome &run)
+{
+    std::string snapshot;
+    const std::vector<vm::SegmentId> segs = sys.state().segments.liveIds();
+    for (const auto &[domain, record] : sys.state().domains()) {
+        for (vm::SegmentId seg_id : segs) {
+            const vm::Segment *seg = sys.state().segments.find(seg_id);
+            for (u64 page = 0; page < seg->pages; ++page) {
+                const vm::Vpn vpn(seg->firstPage.number() + page);
+                const vm::Access canonical =
+                    sys.kernel().canonicalRights(domain, vpn);
+                snapshot.push_back(
+                    static_cast<char>('0' + static_cast<u8>(canonical)));
+                if (!vm::includes(canonical,
+                                  sys.model().cachedRights(domain, vpn)))
+                    run.hwWithinCanonical = false;
+            }
+        }
+    }
+    run.rightsSnapshot = std::move(snapshot);
+}
+
+void
+compareRun(const RunOutcome &baseline, const RunOutcome &run,
+           u64 references, const std::string &prefix,
+           const std::string &expected, std::vector<std::string> &violations)
+{
+    const std::string name = prefix + runName(run);
+    if (run.decisions.size() != references) {
+        violations.push_back(name + ": replayed " +
+                             std::to_string(run.decisions.size()) +
+                             " references, " + expected + " " +
+                             std::to_string(references));
+    }
+    if (!run.hwWithinCanonical) {
+        violations.push_back(name +
+                             ": hardware rights exceed canonical rights");
+    }
+    if (run.decisions != baseline.decisions) {
+        const auto at = std::mismatch(run.decisions.begin(),
+                                      run.decisions.end(),
+                                      baseline.decisions.begin(),
+                                      baseline.decisions.end())
+                            .first -
+                        run.decisions.begin();
+        violations.push_back(name + ": allow/deny diverges from " +
+                             runName(baseline) + " at reference " +
+                             std::to_string(at));
+    }
+    if (run.rightsSnapshot != baseline.rightsSnapshot) {
+        violations.push_back(name +
+                             ": final canonical rights diverge from " +
+                             runName(baseline));
+    }
 }
 
 CampaignResult
@@ -300,48 +339,11 @@ runCampaign(const CampaignConfig &config, const std::string &trace_path)
 
     CampaignResult result;
     result.references = config.references;
-    const core::ModelKind kinds[] = {core::ModelKind::Plb,
-                                     core::ModelKind::PageGroup,
-                                     core::ModelKind::Conventional,
-                                     core::ModelKind::Pkey};
-    for (core::ModelKind kind : kinds) {
-        for (bool injected : {false, true}) {
-            result.runs.push_back(runOne(config, scenario, kind, injected,
-                                         trace_path, layout));
-        }
-    }
-
-    // The differential checks. Cycles are deliberately not compared.
-    const RunOutcome &baseline = result.runs.front();
-    for (const RunOutcome &run : result.runs) {
-        if (run.decisions.size() != config.references) {
-            result.violations.push_back(
-                runName(run) + ": replayed " +
-                std::to_string(run.decisions.size()) + " references, " +
-                "expected " + std::to_string(config.references));
-        }
-        if (!run.hwWithinCanonical) {
-            result.violations.push_back(
-                runName(run) +
-                ": hardware rights exceed canonical rights");
-        }
-        if (run.decisions != baseline.decisions) {
-            std::size_t at = 0;
-            const std::size_t limit =
-                std::min(run.decisions.size(), baseline.decisions.size());
-            while (at < limit && run.decisions[at] == baseline.decisions[at])
-                ++at;
-            result.violations.push_back(
-                runName(run) + ": allow/deny diverges from " +
-                runName(baseline) + " at reference " + std::to_string(at));
-        }
-        if (run.rightsSnapshot != baseline.rightsSnapshot) {
-            result.violations.push_back(
-                runName(run) + ": final canonical rights diverge from " +
-                runName(baseline));
-        }
-    }
-    result.passed = result.violations.empty();
+    runDifferential(result, config.faults, "", "expected",
+                    [&](core::System &sys, RunOutcome &run) {
+                        replayCampaign(sys, config, scenario, trace_path,
+                                       layout, run);
+                    });
     return result;
 }
 

@@ -17,22 +17,30 @@
  *      with fault injection enabled;
  *   3. assert that per-reference allow/deny decision vectors and the
  *      final canonical rights state are bit-identical across all eight
- *      runs, and that no model's hardware view ever exceeds the
+ *      runs, and that no model's cached hardware rights exceed the
  *      canonical rights.
  *
- * Cycle costs legitimately differ (that difference is the paper); the
- * oracle reports them as recovery-overhead numbers instead of
- * checking them.
+ * Steps 2 and 3 are the shared differential path (runDifferential),
+ * which the scenario oracle (scenario/oracle.hh) drives with a
+ * scenario Script instead of a trace. Cycle costs legitimately differ
+ * (that difference is the paper); the oracles report them as
+ * recovery-overhead numbers instead of checking them.
  */
 
 #ifndef SASOS_FAULT_ORACLE_HH
 #define SASOS_FAULT_ORACLE_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/system_config.hh"
 #include "fault/fault.hh"
+
+namespace sasos::core
+{
+class System;
+}
 
 namespace sasos::fault
 {
@@ -59,11 +67,14 @@ struct CampaignConfig
     u64 rightsChurnEvery = 256;
 };
 
-/** What one (model, injected?) run produced. */
+/** What one (model, injected?) run of a differential oracle produced.
+ * The stream driver fills `decisions`; the shared path fills the
+ * rest. */
 struct RunOutcome
 {
     std::string model;
     bool injected = false;
+    /** References allowed and denied (the 1s and 0s of decisions). */
     u64 completed = 0;
     u64 failed = 0;
     u64 simCycles = 0;
@@ -71,32 +82,114 @@ struct RunOutcome
     u64 translationFaults = 0;
     u64 staleFaults = 0;
     u64 faultRetries = 0;
+    u64 domainSwitches = 0;
+    u64 forks = 0;
+    u64 cowFaults = 0;
+    u64 cowCopies = 0;
+    u64 cowReuses = 0;
     /** Injector totals (0 in clean runs). */
     u64 injectedEvents = 0;
     u64 transients = 0;
-    /** Per-reference allow/deny decisions, in trace order. */
+    /** Per-reference allow/deny decisions, in stream order. */
     std::vector<u8> decisions;
-    /** Canonical rights of every (domain, page) after the run. */
+    /** Canonical rights of every live (domain, page) pair after the
+     * run, one digit per pair. */
     std::string rightsSnapshot;
-    /** Hardware rights never exceeded canonical rights. */
+    /** The model's cachedRights never exceeded canonical rights in
+     * the final-state probe. */
     bool hwWithinCanonical = true;
 };
 
-/** Verdict of one campaign. */
-struct CampaignResult
+/** A differential oracle's verdict over its runs. */
+template <typename Run>
+struct Verdict
 {
     bool passed = false;
     /** Human-readable invariant violations (empty when passed). */
     std::vector<std::string> violations;
-    /** Eight runs: {plb, page-group, conventional, pkey} x
-     * {clean, injected}. */
-    std::vector<RunOutcome> runs;
+    /** One run per core::allModels() entry x {clean, injected}, in
+     * that order; the first is the baseline. */
+    std::vector<Run> runs;
     /** References per run (identical for all runs). */
     u64 references = 0;
 
-    /** The injected run for a model kind, for overhead reporting. */
-    const RunOutcome *find(const std::string &model, bool injected) const;
+    /** The run of one model, clean or injected (null if absent). */
+    const Run *
+    find(const std::string &model, bool injected) const
+    {
+        for (const Run &run : runs) {
+            if (run.model == model && run.injected == injected)
+                return &run;
+        }
+        return nullptr;
+    }
 };
+
+/** Verdict of one campaign. */
+using CampaignResult = Verdict<RunOutcome>;
+
+/** @name The shared differential path
+ * Each oracle supplies only its stream driver; building the machines,
+ * the final-state probe and the comparison are common. */
+/// @{
+
+/**
+ * Build a `kind` machine under `faults` (enabled forced to
+ * `injected`), replay the oracle's stream on it through `drive`, then
+ * fill `run`'s counters and probe its final state.
+ */
+void runModel(core::ModelKind kind, bool injected,
+              const FaultConfig &faults, RunOutcome &run,
+              const std::function<void(core::System &)> &drive);
+
+/**
+ * The final-state probe: canonical rights of every live domain on
+ * every page of every live segment into `run.rightsSnapshot`, and
+ * `run.hwWithinCanonical` cleared if the model's cachedRights exceed
+ * them anywhere. Peeks only, so the machine is left as it was.
+ */
+void probeFinalState(core::System &sys, RunOutcome &run);
+
+/**
+ * The differential checks of `run` against `baseline`: it replayed
+ * `references` references, kept hardware within canonical rights, and
+ * matches the baseline's decisions and final canonical rights. Each
+ * failure appends one text to `violations`, starting with `prefix`;
+ * a short run's text names the expected count after `expected`.
+ * Cycles are deliberately not compared.
+ */
+void compareRun(const RunOutcome &baseline, const RunOutcome &run,
+                u64 references, const std::string &prefix,
+                const std::string &expected,
+                std::vector<std::string> &violations);
+
+/**
+ * Run `drive(sys, run)` -- which replays the stream on `sys`, filling
+ * `run.decisions` -- on every model, clean and injected, into
+ * `verdict.runs`, then compare each run with the first (see
+ * compareRun) and set `verdict.passed`. `verdict.references` must be
+ * set beforehand.
+ */
+template <typename Run, typename Drive>
+void
+runDifferential(Verdict<Run> &verdict, const FaultConfig &faults,
+                const std::string &prefix, const std::string &expected,
+                const Drive &drive)
+{
+    for (core::ModelKind kind : core::allModels()) {
+        for (bool injected : {false, true}) {
+            Run &run = verdict.runs.emplace_back();
+            runModel(kind, injected, faults, run,
+                     [&](core::System &sys) { drive(sys, run); });
+        }
+    }
+    for (const Run &run : verdict.runs) {
+        compareRun(verdict.runs.front(), run, verdict.references, prefix,
+                   expected, verdict.violations);
+    }
+    verdict.passed = verdict.violations.empty();
+}
+/// @}
 
 /**
  * Run one differential campaign. The synthesized trace is written to

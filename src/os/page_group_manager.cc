@@ -410,15 +410,32 @@ PageGroupManager::assignedPagesIn(vm::Vpn first, u64 pages) const
 }
 
 vm::Access
-PageGroupManager::hwRights(DomainId domain, vm::Vpn vpn)
+PageGroupManager::hwRights(DomainId domain, vm::Vpn vpn) const
 {
-    const PageGroupState st = pageState(vpn);
-    if (!domainHasGroup(domain, st.aid))
+    vm::Access rights = vm::Access::None;
+    bool member = false;
+    bool disabled = false;
+    if (auto it = assignments_.find(vpn); it != assignments_.end()) {
+        rights = it->second.rights;
+        member = domainHasGroup(domain, it->second.aid);
+        disabled = writeDisabled(domain, it->second.aid);
+    } else if (const vm::Segment *seg = state_.segments.findByPage(vpn)) {
+        // Not assigned yet: express the vector pageState() would,
+        // without creating its group, so peeking moves nothing.
+        const bool plain = !state_.hasPageMask(vpn) &&
+                           state_.overrideDomains(vpn).empty();
+        const Expressed expressed = expressVector(
+            plain ? state_.segmentDefaultVector(seg->id)
+                  : state_.rightsVector(vpn),
+            std::nullopt);
+        rights = expressed.rights;
+        const auto it = expressed.members.find(domain);
+        member = it != expressed.members.end();
+        disabled = member && it->second;
+    }
+    if (!member)
         return vm::Access::None;
-    vm::Access rights = st.rights;
-    if (writeDisabled(domain, st.aid))
-        rights = rights & ~vm::Access::Write;
-    return rights;
+    return disabled ? rights & ~vm::Access::Write : rights;
 }
 
 void

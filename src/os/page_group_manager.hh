@@ -116,9 +116,11 @@ class PageGroupManager
     /**
      * Hardware-semantic rights of a domain on a page: the page's
      * group Rights field, minus Write if the domain's D bit is set,
-     * and None if the domain is not a member of the group.
+     * and None if the domain is not a member of the group. A pure
+     * peek: a page not yet assigned is expressed as pageState() would
+     * group it, without creating the group.
      */
-    vm::Access hwRights(DomainId domain, vm::Vpn vpn);
+    vm::Access hwRights(DomainId domain, vm::Vpn vpn) const;
 
     /**
      * Invalidate the membership caches after attach/detach or

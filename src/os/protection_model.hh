@@ -2,15 +2,18 @@
  * @file
  * The hardware/OS protection contract.
  *
- * A ProtectionModel is the hardware side of one of the paper's
- * protection organizations (domain-page / page-group / conventional).
- * The kernel keeps the canonical protection state -- per-domain
- * protection tables over segments and pages -- and calls the model's
- * maintenance hooks whenever that state changes; the model updates
- * whatever caching structures it owns (PLB, TLBs, page-group cache)
- * and charges the cycles those manipulations cost. The reference path
- * (access()) performs the model's hardware checks, resolving its own
- * structure misses, and reports faults for the kernel to handle.
+ * A ProtectionModel is the hardware side of one protection
+ * organization (domain-page / page-group / conventional, plus the
+ * protection-key register file). The kernel keeps the canonical
+ * protection state -- per-domain protection tables over segments and
+ * pages -- and calls the model's maintenance hooks whenever that state
+ * changes; the model updates whatever caching structures it owns
+ * (PLB, TLBs, page-group cache, key registers) and charges the cycles
+ * those manipulations cost. The reference path (access()) performs
+ * the model's hardware checks, resolving its own structure misses,
+ * and reports faults for the kernel to handle. cachedRights() peeks
+ * what those structures grant, for the oracles' hardware-within-
+ * canonical check.
  *
  * Table 1 of the paper is precisely the difference between the
  * implementations of these hooks across models.
@@ -133,12 +136,15 @@ class ProtectionModel
     virtual bool refreshAfterFault(DomainId domain, vm::Vpn vpn) = 0;
 
     /**
-     * The model-semantic oracle: the rights the hardware *would*
-     * grant this domain on this page once all structures are warm.
-     * Used by tests to check the safety invariant against the
-     * kernel's canonical tables.
+     * The rights the model's cached hardware state grants this domain
+     * on this page right now: None when nothing cached covers the
+     * (domain, page) pair, so a cold structure peeks None. A pure
+     * peek -- no stat, replacement stamp, memo or trace event moves,
+     * and snapshot bytes stay the same. The safety invariant every
+     * oracle checks is that this never exceeds the kernel's canonical
+     * rights; it may lag below them.
      */
-    virtual vm::Access effectiveRights(DomainId domain, vm::Vpn vpn) = 0;
+    virtual vm::Access cachedRights(DomainId domain, vm::Vpn vpn) const = 0;
 
     /** @name Snapshot hooks
      * Serialize the model's cached hardware state (PLB, TLBs,

@@ -1,89 +1,9 @@
 #include "scenario/oracle.hh"
 
-#include <algorithm>
-#include <sstream>
-
 #include "core/system.hh"
-#include "vm/address.hh"
 
 namespace sasos::scn
 {
-
-namespace
-{
-
-ScenarioRun
-runOne(const Script &script, core::ModelKind kind, bool injected,
-       const fault::FaultConfig &faults)
-{
-    core::SystemConfig sc = core::SystemConfig::forModel(kind);
-    sc.faults = faults;
-    sc.faults.enabled = injected;
-    core::System sys(sc);
-
-    ScenarioRun run;
-    run.model = core::toString(kind);
-    run.injected = injected;
-    run.decisions.reserve(script.refs);
-    run.stats = runScript(sys, script, 0, script.ops.size(),
-                          &run.decisions);
-
-    run.simCycles = sys.cycles().count();
-    run.protectionFaults = sys.kernel().protectionFaults.value();
-    run.translationFaults = sys.kernel().translationFaults.value();
-    run.staleFaults = sys.kernel().staleFaults.value();
-    run.faultRetries = sys.kernel().faultRetries.value();
-    run.domainSwitches = sys.kernel().domainSwitches.value();
-    run.forks = sys.kernel().forks.value();
-    run.cowFaults = sys.kernel().cowFaults.value();
-    run.cowCopies = sys.kernel().cowCopies.value();
-    run.cowReuses = sys.kernel().cowReuses.value();
-    if (sys.injector() != nullptr) {
-        run.injectedEvents = sys.injector()->injected.value();
-        run.transients = sys.injector()->transients.value();
-    }
-
-    // Final architectural state over whatever the scenario left alive:
-    // canonical rights of every surviving domain on every surviving
-    // page, plus hardware-never-exceeds-canonical.
-    std::ostringstream snapshot;
-    const std::vector<vm::SegmentId> segs = sys.state().segments.liveIds();
-    for (const auto &[id, domain] : sys.state().domains()) {
-        for (vm::SegmentId seg_id : segs) {
-            const vm::Segment *seg = sys.state().segments.find(seg_id);
-            for (u64 page = 0; page < seg->pages; ++page) {
-                const vm::Vpn vpn(seg->firstPage.number() + page);
-                const vm::Access canonical =
-                    sys.kernel().canonicalRights(id, vpn);
-                snapshot << static_cast<char>(
-                    '0' + static_cast<u8>(canonical));
-                const vm::Access hw = sys.model().effectiveRights(id, vpn);
-                if (!vm::includes(canonical, hw))
-                    run.hwWithinCanonical = false;
-            }
-        }
-    }
-    run.rightsSnapshot = snapshot.str();
-    return run;
-}
-
-std::string
-runName(const ScenarioRun &run)
-{
-    return run.model + (run.injected ? "+faults" : "+clean");
-}
-
-} // namespace
-
-const ScenarioRun *
-ScenarioVerdict::find(const std::string &model, bool injected) const
-{
-    for (const ScenarioRun &run : runs) {
-        if (run.model == model && run.injected == injected)
-            return &run;
-    }
-    return nullptr;
-}
 
 ScenarioVerdict
 runScenarioOracle(const Script &script, const fault::FaultConfig &faults)
@@ -91,48 +11,13 @@ runScenarioOracle(const Script &script, const fault::FaultConfig &faults)
     ScenarioVerdict verdict;
     verdict.scenario = script.name;
     verdict.references = script.refs;
-
-    const core::ModelKind kinds[] = {core::ModelKind::Plb,
-                                     core::ModelKind::PageGroup,
-                                     core::ModelKind::Conventional,
-                                     core::ModelKind::Pkey};
-    for (core::ModelKind kind : kinds) {
-        for (bool injected : {false, true})
-            verdict.runs.push_back(runOne(script, kind, injected, faults));
-    }
-
-    const ScenarioRun &baseline = verdict.runs.front();
-    for (const ScenarioRun &run : verdict.runs) {
-        if (run.decisions.size() != script.refs) {
-            verdict.violations.push_back(
-                script.name + "/" + runName(run) + ": replayed " +
-                std::to_string(run.decisions.size()) + " references, " +
-                "script has " + std::to_string(script.refs));
-        }
-        if (!run.hwWithinCanonical) {
-            verdict.violations.push_back(
-                script.name + "/" + runName(run) +
-                ": hardware rights exceed canonical rights");
-        }
-        if (run.decisions != baseline.decisions) {
-            std::size_t at = 0;
-            const std::size_t limit =
-                std::min(run.decisions.size(), baseline.decisions.size());
-            while (at < limit && run.decisions[at] == baseline.decisions[at])
-                ++at;
-            verdict.violations.push_back(
-                script.name + "/" + runName(run) +
-                ": allow/deny diverges from " + runName(baseline) +
-                " at reference " + std::to_string(at));
-        }
-        if (run.rightsSnapshot != baseline.rightsSnapshot) {
-            verdict.violations.push_back(
-                script.name + "/" + runName(run) +
-                ": final canonical rights diverge from " +
-                runName(baseline));
-        }
-    }
-    verdict.passed = verdict.violations.empty();
+    fault::runDifferential(verdict, faults, script.name + "/", "script has",
+                           [&](core::System &sys, ScenarioRun &run) {
+                               run.decisions.reserve(script.refs);
+                               run.stats = runScript(sys, script, 0,
+                                                     script.ops.size(),
+                                                     &run.decisions);
+                           });
     return verdict;
 }
 

@@ -2,17 +2,17 @@
  * @file
  * Differential oracle over application scenarios.
  *
- * Same contract as the fault campaign oracle (fault/oracle.hh), but
- * the operation stream is a scenario Script instead of a synthetic
- * trace: the identical script is replayed on all three protection
- * models, clean and fault-injected, and the oracle asserts that
- * per-reference allow/deny decisions and the final canonical rights
- * state are bit-identical across all six runs, and that no model's
- * hardware view ever exceeds the canonical rights. Because scenarios
- * fork copy-on-write, share frames and churn domains, this locks the
- * new kernel paths under the same equivalence claim as plain
- * references. Cycle costs legitimately differ and are reported, not
- * compared.
+ * Same contract and the same shared differential path as the fault
+ * campaign oracle (fault/oracle.hh), but the operation stream is a
+ * scenario Script instead of a synthetic trace: the identical script
+ * is replayed on all four protection models, clean and fault-injected,
+ * and the oracle asserts that per-reference allow/deny decisions and
+ * the final canonical rights state are bit-identical across all eight
+ * runs, and that no model's cached hardware rights exceed the
+ * canonical rights. Because scenarios fork copy-on-write, share frames
+ * and churn domains, this locks the new kernel paths under the same
+ * equivalence claim as plain references. Cycle costs legitimately
+ * differ and are reported, not compared.
  */
 
 #ifndef SASOS_SCENARIO_ORACLE_HH
@@ -21,56 +21,28 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hh"
+#include "fault/oracle.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 
 namespace sasos::scn
 {
 
-/** What one (model, injected?) scenario replay produced. */
-struct ScenarioRun
+/** What one (model, injected?) scenario replay produced: the shared
+ * run record plus the runner's tally. */
+struct ScenarioRun : fault::RunOutcome
 {
-    std::string model;
-    bool injected = false;
     RunStats stats;
-    u64 simCycles = 0;
-    u64 protectionFaults = 0;
-    u64 translationFaults = 0;
-    u64 staleFaults = 0;
-    u64 faultRetries = 0;
-    u64 domainSwitches = 0;
-    u64 forks = 0;
-    u64 cowFaults = 0;
-    u64 cowCopies = 0;
-    u64 cowReuses = 0;
-    /** Injector totals (0 in clean runs). */
-    u64 injectedEvents = 0;
-    u64 transients = 0;
-    /** Per-reference allow/deny decisions, in script order. */
-    std::vector<u8> decisions;
-    /** Canonical rights of every surviving (domain, page) pair. */
-    std::string rightsSnapshot;
-    /** Hardware rights never exceeded canonical rights. */
-    bool hwWithinCanonical = true;
 };
 
-/** Verdict for one scenario across all six runs. */
-struct ScenarioVerdict
+/** Verdict for one scenario across all eight runs. */
+struct ScenarioVerdict : fault::Verdict<ScenarioRun>
 {
     std::string scenario;
-    bool passed = false;
-    /** Human-readable invariant violations (empty when passed). */
-    std::vector<std::string> violations;
-    /** Six runs: {plb, page-group, conventional} x {clean, injected}. */
-    std::vector<ScenarioRun> runs;
-    u64 references = 0;
-
-    const ScenarioRun *find(const std::string &model, bool injected) const;
 };
 
 /**
- * Replay `script` on all three models, clean and injected under
+ * Replay `script` on all four models, clean and injected under
  * `faults` (enabled is forced on/off per run), and compare.
  */
 ScenarioVerdict runScenarioOracle(const Script &script,

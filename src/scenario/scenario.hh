@@ -23,7 +23,7 @@
  * builder replays the kernel operations against a probe System as it
  * generates, recording the ids the real runs must reproduce. That
  * makes replay trivially position-resumable (snapshot mid-script) and
- * lets the differential oracle run the identical stream on all three
+ * lets the differential oracle run the identical stream on all four
  * protection models, clean and fault-injected.
  */
 

@@ -13,7 +13,7 @@
  * snapshot, restore in a fresh process, continue -- and every
  * statistic, cycle and traced event must be bit-identical to the
  * uninterrupted run. tests/snap_test.cc and bench_snap enforce this
- * for all three protection models and the multi-core engine.
+ * for all four protection models and the multi-core engine.
  *
  * Images are untrusted input: truncations, bit flips, wrong versions
  * and hostile length fields are rejected with clean fatals by the

@@ -215,13 +215,44 @@ TEST_F(ConvSystemTest, UnmapPurgesAndFlushes)
     EXPECT_EQ(model().cache().occupancy(), 0u);
 }
 
-TEST_F(ConvSystemTest, EffectiveRightsMatchCanonical)
+TEST_F(ConvSystemTest, CachedRightsPeekTheTlb)
 {
+    // cachedRights reads the domain's ASID-tagged TLB replica: nothing
+    // before the domain touches the page, canonical once it has, never
+    // above canonical after a revoke.
     const vm::SegmentId seg =
         makeShared(2, vm::Access::ReadWrite, vm::Access::Read);
     const vm::Vpn vpn = sys_.state().segments.find(seg)->firstPage;
-    EXPECT_EQ(model().effectiveRights(a_, vpn),
-              sys_.kernel().canonicalRights(a_, vpn));
-    EXPECT_EQ(model().effectiveRights(b_, vpn),
-              sys_.kernel().canonicalRights(b_, vpn));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::None);
+    EXPECT_TRUE(sys_.store(baseOf(seg)));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::ReadWrite);
+    EXPECT_EQ(model().cachedRights(b_, vpn), vm::Access::None);
+    sys_.kernel().setPageRights(a_, vpn, vm::Access::Read);
+    EXPECT_TRUE(vm::includes(sys_.kernel().canonicalRights(a_, vpn),
+                             model().cachedRights(a_, vpn)));
+}
+
+TEST(ConvPurgeSystemTest, CachedRightsOfIdleDomainAreNone)
+{
+    // With purge-on-switch the TLB is untagged: its entries belong to
+    // the running domain alone, so an idle domain peeks None even
+    // though the entry it would see carries another domain's rights.
+    core::System sys(SystemConfig::purgingConventionalSystem());
+    auto &kernel = sys.kernel();
+    const os::DomainId a = kernel.createDomain("a");
+    const os::DomainId b = kernel.createDomain("b");
+    const vm::SegmentId seg = kernel.createSegment("s", 1);
+    kernel.attach(a, seg, vm::Access::Read);
+    kernel.attach(b, seg, vm::Access::ReadWrite);
+    const vm::Vpn vpn = sys.state().segments.find(seg)->firstPage;
+    kernel.switchTo(b);
+    EXPECT_TRUE(sys.store(vm::baseOf(vpn)));
+    ConventionalSystem &model = *sys.conventionalSystem();
+    EXPECT_EQ(model.cachedRights(b, vpn), vm::Access::ReadWrite);
+    EXPECT_EQ(model.cachedRights(a, vpn), vm::Access::None);
+    kernel.switchTo(a);
+    EXPECT_EQ(model.cachedRights(a, vpn), vm::Access::None);
+    EXPECT_EQ(model.cachedRights(b, vpn), vm::Access::None);
+    EXPECT_TRUE(sys.load(vm::baseOf(vpn)));
+    EXPECT_EQ(model.cachedRights(a, vpn), vm::Access::Read);
 }

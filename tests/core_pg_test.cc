@@ -290,7 +290,7 @@ TEST_F(PgSystemTest, EffectiveRightsNeverExceedCanonical)
     sys_.kernel().setPageRights(b_, first + 1, vm::Access::None);
     for (u64 p = 0; p < 4; ++p) {
         for (os::DomainId d : {a_, b_}) {
-            const vm::Access hw = model().effectiveRights(d, first + p);
+            const vm::Access hw = model().cachedRights(d, first + p);
             const vm::Access canonical =
                 sys_.kernel().canonicalRights(d, first + p);
             EXPECT_TRUE(vm::includes(canonical, hw))

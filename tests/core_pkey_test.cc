@@ -369,15 +369,22 @@ TEST_F(PkeySystemTest, DomainDestructionPurgesItsRegisters)
     EXPECT_TRUE(model().keyCache().peek(a_, key).has_value());
 }
 
-TEST_F(PkeySystemTest, EffectiveRightsMatchCanonical)
+TEST_F(PkeySystemTest, CachedRightsPeekKeyTagAndRegister)
 {
+    // cachedRights reads the page's TLB key tag and the domain's
+    // register for that key: nothing before the domain touches the
+    // page, canonical once it has, never above canonical after a
+    // revoke.
     const vm::SegmentId seg =
         makeSegment(2, vm::Access::ReadWrite, vm::Access::Read);
     const vm::Vpn vpn = sys_.state().segments.find(seg)->firstPage;
-    EXPECT_EQ(model().effectiveRights(a_, vpn),
-              sys_.kernel().canonicalRights(a_, vpn));
-    EXPECT_EQ(model().effectiveRights(b_, vpn),
-              sys_.kernel().canonicalRights(b_, vpn));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::None);
+    EXPECT_TRUE(sys_.store(baseOf(seg)));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::ReadWrite);
+    EXPECT_EQ(model().cachedRights(b_, vpn), vm::Access::None);
+    sys_.kernel().setPageRights(a_, vpn, vm::Access::Read);
+    EXPECT_TRUE(vm::includes(sys_.kernel().canonicalRights(a_, vpn),
+                             model().cachedRights(a_, vpn)));
 }
 
 TEST_F(PkeySystemTest, InjectionPerturbsStructuresOnly)
@@ -405,8 +412,8 @@ TEST_F(PkeySystemTest, InjectionPerturbsStructuresOnly)
               0u);
     for (u64 p = 0; p < 64; ++p) {
         const vm::Vpn vpn = vm::pageOf(base + p * vm::kPageBytes);
-        EXPECT_EQ(model.effectiveRights(d, vpn),
-                  kernel.canonicalRights(d, vpn));
+        EXPECT_TRUE(vm::includes(kernel.canonicalRights(d, vpn),
+                                 model.cachedRights(d, vpn)));
     }
     EXPECT_TRUE(sys.store(base));
 }

@@ -270,15 +270,21 @@ TEST_F(PlbSystemTest, GlobalRestrictScansWholePlb)
     EXPECT_FALSE(sys_.load(base));
 }
 
-TEST_F(PlbSystemTest, EffectiveRightsMatchCanonical)
+TEST_F(PlbSystemTest, CachedRightsPeekThePlb)
 {
+    // cachedRights reads the PLB: nothing before a domain touches the
+    // page, canonical once it has, never above canonical after a
+    // revoke.
     const vm::SegmentId seg =
         makeSegment(2, vm::Access::ReadWrite, vm::Access::Read);
     const vm::Vpn vpn = sys_.state().segments.find(seg)->firstPage;
-    EXPECT_EQ(model().effectiveRights(a_, vpn),
-              sys_.kernel().canonicalRights(a_, vpn));
-    EXPECT_EQ(model().effectiveRights(b_, vpn),
-              sys_.kernel().canonicalRights(b_, vpn));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::None);
+    EXPECT_TRUE(sys_.store(baseOf(seg)));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::ReadWrite);
+    EXPECT_EQ(model().cachedRights(b_, vpn), vm::Access::None);
+    sys_.kernel().setPageRights(a_, vpn, vm::Access::Read);
+    EXPECT_TRUE(vm::includes(sys_.kernel().canonicalRights(a_, vpn),
+                             model().cachedRights(a_, vpn)));
 }
 
 TEST_F(PlbSystemTest, CacheProbeIndependentOfProtectionOutcome)

@@ -8,7 +8,7 @@
  *    at that moment (no segment servers installed, so faults cannot
  *    change rights). Hardware caching (PLB/TLB/page-group state) must
  *    never leak access.
- *  - Oracle consistency: the model's effectiveRights never exceeds
+ *  - Oracle consistency: the model's cachedRights never exceeds
  *    canonical rights.
  *  - Structural sanity: occupancies within capacity; frames conserved.
  *  - Determinism: identical seeds give identical cycle totals.
@@ -218,7 +218,7 @@ TEST_P(OpSoupTest, SafetyInvariantHoldsUnderRandomOperations)
         // Oracle check on a random sample point.
         const os::DomainId d = random_domain();
         const vm::Vpn vpn = random_page(random_segment_index());
-        const vm::Access hw = sys.model().effectiveRights(d, vpn);
+        const vm::Access hw = sys.model().cachedRights(d, vpn);
         const vm::Access canonical = kernel.canonicalRights(d, vpn);
         ASSERT_TRUE(vm::includes(canonical, hw))
             << "hardware over-grants: hw=" << vm::toString(hw)
@@ -509,7 +509,7 @@ lockstepScenario(const scn::Script &script, bool faults, u64 seed)
                           sample.nextBelow(seg->pages));
         for (auto &sys : systems) {
             const vm::Access hw =
-                sys->model().effectiveRights(it->first, vpn);
+                sys->model().cachedRights(it->first, vpn);
             const vm::Access canonical =
                 sys->kernel().canonicalRights(it->first, vpn);
             ASSERT_TRUE(vm::includes(canonical, hw))
