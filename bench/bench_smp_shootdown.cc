@@ -131,7 +131,7 @@ printSmpDvmTable(const Options &options)
             table.addRow(
                 {TextTable::num(nodes), model.label,
                  TextTable::num(smp_cycles),
-                 TextTable::num(smp.broadcast().ipisSent.value()),
+                 TextTable::num(smp.ipisSent.value()),
                  bench::normalized(static_cast<double>(smp_cycles),
                                    static_cast<double>(uni_cycles))});
         }

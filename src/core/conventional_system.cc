@@ -351,6 +351,17 @@ ConventionalSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
     return entry ? entry->rights : vm::Access::None;
 }
 
+u64
+ConventionalSystem::purgeForAck(std::optional<os::DomainId> domain,
+                                vm::Vpn first, u64 pages)
+{
+    // Untagged entries carry ASID 0, whichever domain filled them.
+    if (domain && config_.purgeTlbOnSwitch)
+        domain = 0;
+    memo_.valid = false;
+    return tlb_.purgeRange(domain, first, pages).invalidated;
+}
+
 void
 ConventionalSystem::save(snap::SnapWriter &w) const
 {

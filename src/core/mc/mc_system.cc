@@ -4,10 +4,7 @@
 #include <bit>
 #include <sstream>
 
-#include "core/conventional_system.hh"
-#include "core/pagegroup_system.hh"
-#include "core/pkey_system.hh"
-#include "core/plb_system.hh"
+#include "core/per_core_models.hh"
 #include "core/system.hh" // saveConfigSignature/checkConfigSignature
 #include "obs/export.hh"
 #include "obs/tracer.hh"
@@ -16,185 +13,6 @@
 
 namespace sasos::core::mc
 {
-
-namespace
-{
-
-/** Page range covering every segment the allocator can hand out;
- * used to probe ops with no natural range (domain destruction). */
-constexpr u64 kFullRangePages = u64{1} << 40;
-
-} // namespace
-
-/**
- * The deferred-broadcast protection model the shared kernel drives.
- *
- * Local hooks and the reference path go straight to the scheduled
- * core's concrete model. Hooks BroadcastModel would broadcast
- * synchronously instead go through McSystem::broadcastOp: the issuing
- * core's model is updated immediately, every other core gets the hook
- * as a value-capturing closure it applies when it takes the IPI.
- */
-class DeferredModel : public os::ProtectionModel
-{
-  public:
-    explicit DeferredModel(McSystem &sys) : sys_(sys) {}
-
-    const char *name() const override { return "mc-deferred"; }
-
-    os::AccessResult
-    access(os::DomainId domain, vm::VAddr va, vm::AccessType type) override
-    {
-        return sys_.currentModel().access(domain, va, type);
-    }
-
-    void
-    onAttach(os::DomainId domain, const vm::Segment &seg,
-             vm::Access rights) override
-    {
-        // An attach that leaves the segment's rights union unchanged
-        // is a pure grant: remote hardware holds nothing for the new
-        // domain, so only the issuing core's structures see it. When
-        // the grant *raises* the union, the page-group model's
-        // default group changes protections (its Rights field and
-        // every other member's derived D bit), which -- like any
-        // group protection change (Section 4.1.2) -- must reach every
-        // remote PID cache and TLB. The kernel's shootdown protocol
-        // is model-independent (the condition derives from canonical
-        // state only), so the interleaving, and with it the quiescence
-        // points the cross-model oracle compares, stay identical
-        // across models; PLB and ASID handlers just have less to drop.
-        vm::Access union_before = vm::Access::None;
-        for (const auto &[d, r] :
-             sys_.state().segmentDefaultVector(seg.id)) {
-            if (d != domain)
-                union_before = union_before | r;
-        }
-        if (!vm::includes(union_before, rights)) {
-            vm::Segment copy = seg;
-            sys_.broadcastOp(
-                [domain, copy, rights](os::ProtectionModel &m) {
-                    m.onAttach(domain, copy, rights);
-                },
-                seg.firstPage, seg.pages, std::nullopt);
-            return;
-        }
-        sys_.currentModel().onAttach(domain, seg, rights);
-    }
-
-    void
-    onDetach(os::DomainId domain, const vm::Segment &seg) override
-    {
-        vm::Segment copy = seg;
-        sys_.broadcastOp(
-            [domain, copy](os::ProtectionModel &m) {
-                m.onDetach(domain, copy);
-            },
-            seg.firstPage, seg.pages, domain);
-    }
-
-    void
-    onSetPageRights(os::DomainId domain, vm::Vpn vpn,
-                    vm::Access rights) override
-    {
-        sys_.broadcastOp(
-            [domain, vpn, rights](os::ProtectionModel &m) {
-                m.onSetPageRights(domain, vpn, rights);
-            },
-            vpn, 1, domain);
-    }
-
-    void
-    onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override
-    {
-        sys_.broadcastOp(
-            [vpn, rights](os::ProtectionModel &m) {
-                m.onSetPageRightsAllDomains(vpn, rights);
-            },
-            vpn, 1, std::nullopt);
-    }
-
-    void
-    onClearPageRightsAllDomains(vm::Vpn vpn) override
-    {
-        sys_.broadcastOp(
-            [vpn](os::ProtectionModel &m) {
-                m.onClearPageRightsAllDomains(vpn);
-            },
-            vpn, 1, std::nullopt);
-    }
-
-    void
-    onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
-                       vm::Access rights) override
-    {
-        vm::Segment copy = seg;
-        sys_.broadcastOp(
-            [domain, copy, rights](os::ProtectionModel &m) {
-                m.onSetSegmentRights(domain, copy, rights);
-            },
-            seg.firstPage, seg.pages, domain);
-    }
-
-    void
-    onDomainSwitch(os::DomainId from, os::DomainId to) override
-    {
-        // A switch is local to the core it happens on.
-        sys_.currentModel().onDomainSwitch(from, to);
-    }
-
-    void
-    onPageMapped(vm::Vpn vpn, vm::Pfn pfn) override
-    {
-        // Mappings load lazily per core.
-        sys_.currentModel().onPageMapped(vpn, pfn);
-    }
-
-    void
-    onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override
-    {
-        sys_.broadcastOp(
-            [vpn, pfn](os::ProtectionModel &m) {
-                m.onPageUnmapped(vpn, pfn);
-            },
-            vpn, 1, std::nullopt);
-    }
-
-    void
-    onDomainDestroyed(os::DomainId domain) override
-    {
-        sys_.broadcastOp(
-            [domain](os::ProtectionModel &m) {
-                m.onDomainDestroyed(domain);
-            },
-            vm::Vpn(0), kFullRangePages, domain);
-    }
-
-    void
-    onSegmentDestroyed(const vm::Segment &seg) override
-    {
-        vm::Segment copy = seg;
-        sys_.broadcastOp(
-            [copy](os::ProtectionModel &m) { m.onSegmentDestroyed(copy); },
-            seg.firstPage, seg.pages, std::nullopt);
-    }
-
-    bool
-    refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override
-    {
-        // Fault repair is local to the faulting core.
-        return sys_.currentModel().refreshAfterFault(domain, vpn);
-    }
-
-    vm::Access
-    cachedRights(os::DomainId domain, vm::Vpn vpn) const override
-    {
-        return sys_.currentModel().cachedRights(domain, vpn);
-    }
-
-  private:
-    McSystem &sys_;
-};
 
 McConfig
 McConfig::fromOptions(const Options &options)
@@ -275,53 +93,28 @@ McSystem::McSystem(const McConfig &config)
 {
     SASOS_ASSERT(config_.cores >= 1, "a machine needs at least one core");
     SASOS_ASSERT(config_.quantum >= 1, "quantum must be at least one step");
-    model_ = std::make_unique<DeferredModel>(*this);
+    model_ = std::make_unique<PerCoreModels>(
+        config_.system, state_, account_,
+        [this](MaintenanceOp apply, vm::Vpn first, u64 pages,
+               std::optional<os::DomainId> domain) {
+            broadcastOp(std::move(apply), first, pages, domain);
+        });
     kernel_ = std::make_unique<os::Kernel>(state_, *model_,
                                            config_.system.costs, account_,
                                            &statsRoot_);
     cores_.reserve(config_.cores);
     for (unsigned i = 0; i < config_.cores; ++i) {
+        stats::Group &group =
+            model_->addCore(&statsRoot_, "core" + std::to_string(i));
         Core core;
-        core.group = std::make_unique<stats::Group>(
-            &statsRoot_, "core" + std::to_string(i));
-        switch (config_.system.model) {
-          case ModelKind::Plb: {
-            auto model = std::make_unique<PlbSystem>(
-                config_.system, state_, account_, core.group.get());
-            core.plb = model.get();
-            core.model = std::move(model);
-            break;
-          }
-          case ModelKind::PageGroup: {
-            auto model = std::make_unique<PageGroupSystem>(
-                config_.system, state_, account_, core.group.get());
-            core.pg = model.get();
-            core.model = std::move(model);
-            break;
-          }
-          case ModelKind::Conventional: {
-            auto model = std::make_unique<ConventionalSystem>(
-                config_.system, state_, account_, core.group.get());
-            core.conv = model.get();
-            core.model = std::move(model);
-            break;
-          }
-          case ModelKind::Pkey: {
-            auto model = std::make_unique<PkeySystem>(
-                config_.system, state_, account_, core.group.get());
-            core.pkey = model.get();
-            core.model = std::move(model);
-            break;
-          }
-        }
+        core.model = &model_->core(i);
         core.completedStat = std::make_unique<stats::Scalar>(
-            core.group.get(), "completed",
-            "references this core completed");
+            &group, "completed", "references this core completed");
         core.failedStat = std::make_unique<stats::Scalar>(
-            core.group.get(), "failed",
+            &group, "failed",
             "references this core saw end in an exception");
         core.cyclesStat = std::make_unique<stats::Scalar>(
-            core.group.get(), "cycles",
+            &group, "cycles",
             "simulated cycles attributed to this core's turns");
         cores_.push_back(std::move(core));
     }
@@ -365,7 +158,7 @@ McSystem::setupWorkload()
     const vm::Segment *shared = state_.segments.find(sharedSeg_);
     segments_.emplace_back(shared->firstPage, shared->pages);
     for (unsigned i = 0; i < cores_.size(); ++i) {
-        current_ = i;
+        model_->setCurrent(i);
         kernel_->attach(cores_[i].domain, sharedSeg_,
                         vm::Access::ReadWrite);
     }
@@ -375,7 +168,7 @@ McSystem::setupWorkload()
         core.layout.sharedBase = shared->base();
         core.layout.sharedPages = shared->pages;
         if (wl.privatePages > 0) {
-            current_ = i;
+            model_->setCurrent(i);
             const vm::SegmentId seg = kernel_->createSegment(
                 "private" + std::to_string(i), wl.privatePages);
             const vm::Segment *segment = state_.segments.find(seg);
@@ -386,7 +179,7 @@ McSystem::setupWorkload()
             core.layout.privatePages = segment->pages;
         }
     }
-    current_ = 0;
+    model_->setCurrent(0);
     if (config_.premap) {
         for (const auto &[first, pages] : segments_)
             for (u64 p = 0; p < pages; ++p)
@@ -418,22 +211,17 @@ McSystem::coreModel(unsigned core)
     return *cores_[core].model;
 }
 
-os::ProtectionModel &
-McSystem::currentModel()
-{
-    return *cores_[current_].model;
-}
-
 void
 McSystem::broadcastOp(std::function<void(os::ProtectionModel &)> apply,
                       vm::Vpn first, u64 pages,
                       std::optional<os::DomainId> domain)
 {
-    apply(*cores_[current_].model);
+    const unsigned issuer = model_->current();
+    apply(*cores_[issuer].model);
     if (synchronous_) {
         // Setup: every core hears the hook immediately, no shootdown.
         for (unsigned i = 0; i < cores_.size(); ++i)
-            if (i != current_)
+            if (i != issuer)
                 apply(*cores_[i].model);
         return;
     }
@@ -451,66 +239,24 @@ McSystem::broadcastOp(std::function<void(os::ProtectionModel &)> apply,
     account_.charge(CostCategory::KernelWork,
                     remotes * config_.system.costs.interProcessorInterrupt);
     inflight_.push_back(
-        {id, current_, remotes, account_.total().count(), 0});
+        {id, issuer, remotes, account_.total().count(), 0});
     auto op = std::make_shared<const RemoteOp>(
         RemoteOp{id, std::move(apply), first, pages, domain});
     for (unsigned i = 0; i < cores_.size(); ++i) {
-        if (i == current_)
+        if (i == issuer)
             continue;
         cores_[i].inbox.emplace_back(
             op, cores_[i].stepsExecuted + config_.ipiDelaySteps);
         refreshRunnable(i);
     }
-    ++cores_[current_].barriers;
-    refreshRunnable(current_);
-}
-
-u64
-McSystem::purgeStale(Core &c, const RemoteOp &op)
-{
-    if (c.plb != nullptr)
-        return c.plb->protPurgeRange(op.domain, op.first, op.pages)
-            .invalidated;
-    if (c.conv != nullptr) {
-        std::optional<os::DomainId> asid = op.domain;
-        if (asid && config_.system.purgeTlbOnSwitch)
-            asid = 0;
-        return c.conv->tlb().purgeRange(asid, op.first, op.pages)
-            .invalidated;
-    }
-    if (c.pkey != nullptr) {
-        // Key-permission updates ride the same deferred acks, and the
-        // same A->B->A collapse applies: a register refilled under a
-        // transient intermediate grant is invisible to the final ack's
-        // hook diff. The handler scrubs the whole register file (it is
-        // small and refills from canonical state) and drops the
-        // range's TLB entries so stale key tags rederive too.
-        c.pkey->keyCache().purgeAll();
-        return c.pkey->tlb().purgeRange(std::nullopt, op.first, op.pages)
-            .invalidated;
-    }
-    // Page-group entries are shared by all domains; the op's domain
-    // filter does not narrow which TLB entries could be stale. The
-    // purge is what closes the deferred-ack collapse: acks apply
-    // against *current* canonical state, so a union that bounced
-    // A->B->A between two of this core's acks is invisible to the
-    // hooks' lastUnion_ diff, yet a refill under the transient B may
-    // have cached a PID write-disable bit that is wrong again under
-    // A. The handler flash-invalidates the PID cache (it is purged on
-    // every domain switch anyway) and drops the range's TLB entries;
-    // refills after the final ack rederive from canonical state.
-    c.pg->pageGroupCache().purgeAll();
-    return c.pg->tlb().purgeRange(std::nullopt, op.first, op.pages)
-        .invalidated;
+    ++cores_[issuer].barriers;
+    refreshRunnable(issuer);
 }
 
 void
 McSystem::processAck(Core &c, const RemoteOp &op, bool charge_dispatch)
 {
-    const u64 stale = purgeStale(c, op);
-    // The purge went straight at the core's structures; its same-page
-    // memo may now point at a dead slot.
-    c.model->dropMemo();
+    const u64 stale = c.model->purgeForAck(op.domain, op.first, op.pages);
     staleEntriesPurged += stale;
     ackStaleEntries.sample(stale);
     if (charge_dispatch) {
@@ -574,43 +320,6 @@ McSystem::deliverDue(Core &c)
 }
 
 bool
-McSystem::resolveAndRetry(Core &c, vm::VAddr va, vm::AccessType type,
-                          os::AccessResult result)
-{
-    SASOS_OBS_EVENT(obs::EventKind::KernelResolveBegin,
-                    account_.total().count(), va.raw(), c.domain);
-    for (int attempt = 1;; ++attempt) {
-        bool retry = false;
-        switch (result.fault) {
-          case os::FaultKind::Protection:
-            retry = kernel_->handleProtectionFault(c.domain, va, type);
-            break;
-          case os::FaultKind::Translation:
-            retry = kernel_->handleTranslationFault(c.domain, va, type);
-            break;
-          case os::FaultKind::None:
-            SASOS_PANIC("incomplete access without a fault");
-        }
-        if (!retry) {
-            ++failedReferences;
-            SASOS_OBS_EVENT(obs::EventKind::KernelResolveEnd,
-                            account_.total().count(), va.raw(), 0);
-            return false;
-        }
-        if (attempt >= 8) {
-            SASOS_PANIC("livelock resolving faults at address ", va.raw(),
-                        " in domain ", c.domain);
-        }
-        result = c.model->access(c.domain, va, type);
-        if (result.completed) {
-            SASOS_OBS_EVENT(obs::EventKind::KernelResolveEnd,
-                            account_.total().count(), va.raw(), 1);
-            return true;
-        }
-    }
-}
-
-bool
 McSystem::issueRef(Core &c, vm::VAddr va, vm::AccessType type)
 {
     ++references;
@@ -631,9 +340,10 @@ McSystem::issueRef(Core &c, vm::VAddr va, vm::AccessType type)
         }
     }
     const os::AccessResult result = c.model->access(c.domain, va, type);
-    bool ok = true;
-    if (!result.completed)
-        ok = resolveAndRetry(c, va, type, result);
+    const bool ok = result.completed ||
+                    kernel_->resolveAndRetry(c.domain, va, type, result);
+    if (!ok)
+        ++failedReferences;
     SASOS_OBS_EVENT(obs::EventKind::AccessEnd, account_.total().count(),
                     va.raw(), ok);
     if (ok) {
@@ -670,7 +380,7 @@ void
 McSystem::runTurn(unsigned ci)
 {
     Core &c = cores_[ci];
-    current_ = ci;
+    model_->setCurrent(ci);
     obs::setThreadId(config_.tidBase + ci);
     const u64 before = account_.total().count();
     for (u64 s = 0; s < config_.quantum; ++s) {
@@ -914,7 +624,7 @@ McSystem::save(snap::SnapWriter &w) const
     saveConfigSignature(w, config_.system);
     schedule_.save(w);
     w.put64(shootdownIds_);
-    w.put32(current_);
+    w.put32(model_->current());
     w.putBool(done_);
     state_.save(w);
     kernel_->save(w);
@@ -948,7 +658,7 @@ McSystem::load(snap::SnapReader &r)
     if (current >= cores_.size())
         SASOS_FATAL("corrupt snapshot: current core ", current, " of ",
                     cores_.size());
-    current_ = current;
+    model_->setCurrent(current);
     done_ = r.getBool();
     state_.load(r);
     kernel_->load(r);

@@ -4,16 +4,18 @@
  * protection hardware and reference stream, over one shared kernel
  * and canonical VmState, interleaved by a deterministic schedule.
  *
- * Where SmpSystem broadcasts maintenance hooks to every CPU
- * synchronously (runOn() issues from one CPU at a time), McSystem
- * models the shootdown the way Section 4.1.3 describes it happening
- * on a real multiprocessor: the issuing core updates its own
- * structures, sends an IPI per remote core, and *stalls* on the
- * completion barrier; each remote core keeps executing its own stream
- * for a bounded number of steps (the IPI flight / interrupt-masking
- * window) before it takes the interrupt, probes and repairs its stale
- * entries, and acks. During that window a remote core can still
- * complete references from rights the kernel has already revoked --
+ * The cores' models sit behind one PerCoreModels fan-out
+ * (core/per_core_models.hh), the one SmpSystem uses too; only the
+ * delivery differs. SmpSystem applies a maintenance hook to every CPU
+ * at once. McSystem models the shootdown the way Section 4.1.3
+ * describes it happening on a real multiprocessor: the issuing core
+ * updates its own structures, sends an IPI per remote core, and
+ * *stalls* on the completion barrier; each remote core keeps
+ * executing its own stream for a bounded number of steps (the IPI
+ * flight / interrupt-masking window) before it takes the interrupt,
+ * purges the op's range (ProtectionModel::purgeForAck), applies the
+ * hook, and acks. During that window a remote core can still complete
+ * references from rights the kernel has already revoked --
  * exactly the stale-rights window the schedule explorer (explorer.hh)
  * checks invariants over.
  *
@@ -46,16 +48,11 @@
 
 namespace sasos::core
 {
-class PlbSystem;
-class PageGroupSystem;
-class ConventionalSystem;
-class PkeySystem;
+class PerCoreModels;
 } // namespace sasos::core
 
 namespace sasos::core::mc
 {
-
-class DeferredModel;
 
 /** Multi-core engine configuration. */
 struct McConfig
@@ -200,18 +197,10 @@ class McSystem
     void dumpStatsJson(std::ostream &os);
 
   private:
-    /** Plumbing shared with the deferred-broadcast router. */
-    friend class DeferredModel;
-
-    /** One simulated core. */
+    /** One simulated core; its model and stats group live in model_. */
     struct Core
     {
-        std::unique_ptr<stats::Group> group;
-        std::unique_ptr<os::ProtectionModel> model;
-        PlbSystem *plb = nullptr;
-        PageGroupSystem *pg = nullptr;
-        ConventionalSystem *conv = nullptr;
-        PkeySystem *pkey = nullptr;
+        os::ProtectionModel *model = nullptr;
         os::DomainId domain = 0;
         McLayout layout;
         std::unique_ptr<CoreScript> script;
@@ -244,8 +233,8 @@ class McSystem
     void setupWorkload();
     /** Assemble the cumulative McResult from the live counters. */
     McResult buildResult();
-    os::ProtectionModel &currentModel();
-    /** Apply a maintenance hook: issuer now, remotes at their acks. */
+    /** Deliver a maintenance hook: the current core now, remotes at
+     * their acks. */
     void broadcastOp(std::function<void(os::ProtectionModel &)> apply,
                      vm::Vpn first, u64 pages,
                      std::optional<os::DomainId> domain);
@@ -262,12 +251,6 @@ class McSystem
      * run() never rescans all cores: bookkeeping is O(active). */
     void refreshRunnable(unsigned ci);
     bool issueRef(Core &c, vm::VAddr va, vm::AccessType type);
-    bool resolveAndRetry(Core &c, vm::VAddr va, vm::AccessType type,
-                         os::AccessResult result);
-    /** Drop the entries a core still holds for an op's page range
-     * (the IPI handler's conservative invalidation); @return how
-     * many were stale. */
-    u64 purgeStale(Core &c, const RemoteOp &op);
     /** hw ⊆ canonical over every (core, its domain, page) triple;
      * valid only at global quiescence (no shootdown in flight). */
     void checkHwSubset();
@@ -303,7 +286,7 @@ class McSystem
   private:
     CycleAccount account_;
     os::VmState state_;
-    std::unique_ptr<DeferredModel> model_;
+    std::unique_ptr<PerCoreModels> model_;
     std::unique_ptr<os::Kernel> kernel_;
     std::vector<Core> cores_;
     /** Page ranges of every created segment (quiescence checks). */
@@ -312,7 +295,6 @@ class McSystem
     std::vector<Shootdown> inflight_;
     McSchedule schedule_;
     u64 shootdownIds_ = 0;
-    unsigned current_ = 0;
     /** Setup mode: broadcasts apply to every core immediately. */
     bool synchronous_ = true;
     bool done_ = false;

@@ -262,7 +262,6 @@ PageGroupSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
     // page-group cache" -- O(1), the model's headline advantage.
     memo_.valid = false;
     const os::GroupId aid = manager_.defaultGroupOf(seg.id);
-    manager_.invalidateSegmentDefaults(seg.id);
     if (domain == current_ && current_ != 0 &&
         manager_.domainHasGroup(domain, aid)) {
         pgCache_.insert(aid, manager_.writeDisabled(domain, aid));
@@ -328,7 +327,6 @@ PageGroupSystem::onSetSegmentRights(os::DomainId domain,
     (void)domain;
     (void)rights;
     memo_.valid = false;
-    manager_.invalidateSegmentDefaults(seg.id);
     // Membership and D bits are derived, so a grant change that keeps
     // the union intact (e.g. dropping one domain to read-only via its
     // D bit) costs nothing here; a union change purges the range.
@@ -455,9 +453,39 @@ PageGroupSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 vm::Access
 PageGroupSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 {
-    // Page-group hardware semantics live in the manager (the TLB
-    // entry is synced from it): group rights, D bit, membership.
-    return manager_.hwRights(domain, vpn);
+    // The PID cache holds the running domain's groups only; a page
+    // is granted what its TLB entry's Rights field allows, minus
+    // Write under the cached write-disable bit.
+    if (domain != current_)
+        return vm::Access::None;
+    const hw::TlbEntry *entry = tlb_.peek(vpn);
+    if (entry == nullptr)
+        return vm::Access::None;
+    const std::optional<hw::PidMatch> pid = pgCache_.peek(entry->aid);
+    if (!pid)
+        return vm::Access::None;
+    return pid->writeDisable ? entry->rights & ~vm::Access::Write
+                             : entry->rights;
+}
+
+u64
+PageGroupSystem::purgeForAck(std::optional<os::DomainId> domain,
+                             vm::Vpn first, u64 pages)
+{
+    // Page-group entries are shared by all domains; the op's domain
+    // does not narrow which TLB entries could be stale. The purge is
+    // what closes the deferred-ack collapse: acks apply against
+    // *current* canonical state, so a union that bounced A->B->A
+    // between two of this core's acks is invisible to the hooks'
+    // lastUnion_ diff, yet a refill under the transient B may have
+    // cached a PID write-disable bit that is wrong again under A. The
+    // handler flash-invalidates the PID cache (it is purged on every
+    // domain switch anyway) and drops the range's TLB entries; refills
+    // after the final ack rederive from canonical state.
+    (void)domain;
+    memo_.valid = false;
+    pgCache_.purgeAll();
+    return tlb_.purgeRange(std::nullopt, first, pages).invalidated;
 }
 
 void

@@ -544,6 +544,22 @@ PkeySystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
     return keyCache_.peek(domain, entry->aid).value_or(vm::Access::None);
 }
 
+u64
+PkeySystem::purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                        u64 pages)
+{
+    // Key-permission updates ride the same deferred acks, and the
+    // same A->B->A collapse applies: a register refilled under a
+    // transient intermediate grant is invisible to the final ack's
+    // hook diff. The handler scrubs the whole register file (it is
+    // small and refills from canonical state) and drops the range's
+    // TLB entries so stale key tags rederive too.
+    (void)domain;
+    keyCache_.purgeAll();
+    memo_.valid = false;
+    return tlb_.purgeRange(std::nullopt, first, pages).invalidated;
+}
+
 void
 PkeySystem::save(snap::SnapWriter &w) const
 {

@@ -70,6 +70,8 @@ class PkeySystem : public os::ProtectionModel
     void onSegmentDestroyed(const vm::Segment &seg) override;
     bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
     vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
+    u64 purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                    u64 pages) override;
 
     void save(snap::SnapWriter &w) const override;
     void load(snap::SnapReader &r) override;

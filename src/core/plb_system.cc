@@ -419,6 +419,14 @@ PlbSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
     return match ? match->rights : vm::Access::None;
 }
 
+u64
+PlbSystem::purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                       u64 pages)
+{
+    memo_.valid = false;
+    return protPurgeRange(domain, first, pages).invalidated;
+}
+
 void
 PlbSystem::save(snap::SnapWriter &w) const
 {

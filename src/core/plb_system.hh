@@ -71,6 +71,8 @@ class PlbSystem : public os::ProtectionModel
     void onSegmentDestroyed(const vm::Segment &seg) override;
     bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
     vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
+    u64 purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                    u64 pages) override;
 
     void save(snap::SnapWriter &w) const override;
     void load(snap::SnapReader &r) override;
@@ -94,13 +96,9 @@ class PlbSystem : public os::ProtectionModel
     MemoryPath &memory() { return mem_; }
     /// @}
 
-    /** @name Engine-agnostic protection-structure dispatch
-     * (the mc shootdown path must work over either organization) */
+    /** @name Engine-agnostic protection-structure stats
+     * (the workloads report them over either organization) */
     /// @{
-    hw::PurgeResult protPurgeRange(std::optional<hw::DomainId> domain,
-                                   vm::Vpn first, u64 pages);
-    std::optional<hw::PlbMatch> protPeek(os::DomainId domain,
-                                         vm::VAddr va) const;
     std::size_t protOccupancy() const;
     /** Probe misses (cluster-level totals in clustered mode). */
     u64 protMisses() const;
@@ -120,6 +118,14 @@ class PlbSystem : public os::ProtectionModel
 
   private:
     void charge(CostCategory category, Cycles cycles);
+
+    /** @name Engine-agnostic protection-structure dispatch */
+    /// @{
+    hw::PurgeResult protPurgeRange(std::optional<hw::DomainId> domain,
+                                   vm::Vpn first, u64 pages);
+    std::optional<hw::PlbMatch> protPeek(os::DomainId domain,
+                                         vm::VAddr va) const;
+    /// @}
 
     /** Apply one injected perturbation to this machine's structures.
      * @return true if the reference must raise a transient fault. */

@@ -1,5 +1,7 @@
 #include "core/system.hh"
 
+#include "core/per_core_models.hh"
+
 #include "obs/export.hh"
 #include "obs/tracer.hh"
 #include "sim/logging.hh"
@@ -18,38 +20,11 @@ System::System(const SystemConfig &config)
                        "references ending in an exception"),
       state_(config.frames)
 {
-    switch (config_.model) {
-      case ModelKind::Plb: {
-        auto model = std::make_unique<PlbSystem>(config_, state_, account_,
-                                                 &statsRoot_);
-        plb_ = model.get();
-        model_ = std::move(model);
-        break;
-      }
-      case ModelKind::PageGroup: {
-        auto model = std::make_unique<PageGroupSystem>(config_, state_,
-                                                       account_,
-                                                       &statsRoot_);
-        pageGroup_ = model.get();
-        model_ = std::move(model);
-        break;
-      }
-      case ModelKind::Conventional: {
-        auto model = std::make_unique<ConventionalSystem>(config_, state_,
-                                                          account_,
-                                                          &statsRoot_);
-        conventional_ = model.get();
-        model_ = std::move(model);
-        break;
-      }
-      case ModelKind::Pkey: {
-        auto model = std::make_unique<PkeySystem>(config_, state_, account_,
-                                                  &statsRoot_);
-        pkey_ = model.get();
-        model_ = std::move(model);
-        break;
-      }
-    }
+    model_ = makeModel(config_, state_, account_, &statsRoot_);
+    plb_ = dynamic_cast<PlbSystem *>(model_.get());
+    pageGroup_ = dynamic_cast<PageGroupSystem *>(model_.get());
+    conventional_ = dynamic_cast<ConventionalSystem *>(model_.get());
+    pkey_ = dynamic_cast<PkeySystem *>(model_.get());
     if (config_.faults.enabled) {
         injector_ = std::make_unique<fault::FaultInjector>(config_.faults,
                                                            &statsRoot_);
@@ -68,56 +43,13 @@ System::access(vm::VAddr va, vm::AccessType type)
     SASOS_OBS_EVENT(obs::EventKind::AccessBegin, account_.total().count(),
                     va.raw(), domain);
     const os::AccessResult result = model_->access(domain, va, type);
-    bool ok = true;
-    if (!result.completed)
-        ok = resolveAndRetry(domain, va, type, result);
+    const bool ok = result.completed ||
+                    kernel_->resolveAndRetry(domain, va, type, result);
+    if (!ok)
+        ++failedReferences;
     SASOS_OBS_EVENT(obs::EventKind::AccessEnd, account_.total().count(),
                     va.raw(), ok);
     return ok;
-}
-
-bool
-System::resolveAndRetry(os::DomainId domain, vm::VAddr va,
-                        vm::AccessType type, os::AccessResult result)
-{
-    // A bounded retry loop: each fault either resolves (retry) or
-    // becomes an exception. A single reference can legitimately fault
-    // a handful of times (protection upcall, then page-in, then a
-    // structure refill), but endless repetition is a model bug.
-    // `result` is the non-completed outcome of the first attempt; at
-    // most 7 further attempts are made (8 in total, as one reference
-    // can never legitimately need more).
-    SASOS_OBS_EVENT(obs::EventKind::KernelResolveBegin,
-                    account_.total().count(), va.raw(), domain);
-    for (int attempt = 1; ; ++attempt) {
-        bool retry = false;
-        switch (result.fault) {
-          case os::FaultKind::Protection:
-            retry = kernel_->handleProtectionFault(domain, va, type);
-            break;
-          case os::FaultKind::Translation:
-            retry = kernel_->handleTranslationFault(domain, va, type);
-            break;
-          case os::FaultKind::None:
-            SASOS_PANIC("incomplete access without a fault");
-        }
-        if (!retry) {
-            ++failedReferences;
-            SASOS_OBS_EVENT(obs::EventKind::KernelResolveEnd,
-                            account_.total().count(), va.raw(), 0);
-            return false;
-        }
-        if (attempt >= 8) {
-            SASOS_PANIC("livelock resolving faults at address ", va.raw(),
-                        " in domain ", domain);
-        }
-        result = model_->access(domain, va, type);
-        if (result.completed) {
-            SASOS_OBS_EVENT(obs::EventKind::KernelResolveEnd,
-                            account_.total().count(), va.raw(), 1);
-            return true;
-        }
-    }
 }
 
 RunResult

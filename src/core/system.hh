@@ -130,14 +130,6 @@ class System
     /// @}
 
   private:
-    /**
-     * Resolve the fault of a reference's first attempt through the
-     * kernel, retrying bounded-many times; bumps failedReferences and
-     * returns false if the fault became an exception.
-     */
-    bool resolveAndRetry(os::DomainId domain, vm::VAddr va,
-                         vm::AccessType type, os::AccessResult result);
-
     SystemConfig config_;
     stats::Group statsRoot_;
 

@@ -398,6 +398,49 @@ Kernel::isOnDisk(vm::Vpn vpn) const
 }
 
 bool
+Kernel::resolveAndRetry(DomainId domain, vm::VAddr va, vm::AccessType type,
+                        AccessResult result)
+{
+    // A bounded retry loop: each fault either resolves (retry) or
+    // becomes an exception. A single reference can legitimately fault
+    // a handful of times (protection upcall, then page-in, then a
+    // structure refill), but endless repetition is a model bug.
+    // `result` is the non-completed outcome of the first attempt; at
+    // most 7 further attempts are made (8 in total, as one reference
+    // can never legitimately need more).
+    SASOS_OBS_EVENT(obs::EventKind::KernelResolveBegin,
+                    account_.total().count(), va.raw(), domain);
+    for (int attempt = 1; ; ++attempt) {
+        bool retry = false;
+        switch (result.fault) {
+          case FaultKind::Protection:
+            retry = handleProtectionFault(domain, va, type);
+            break;
+          case FaultKind::Translation:
+            retry = handleTranslationFault(domain, va, type);
+            break;
+          case FaultKind::None:
+            SASOS_PANIC("incomplete access without a fault");
+        }
+        if (!retry) {
+            SASOS_OBS_EVENT(obs::EventKind::KernelResolveEnd,
+                            account_.total().count(), va.raw(), 0);
+            return false;
+        }
+        if (attempt >= 8) {
+            SASOS_PANIC("livelock resolving faults at address ", va.raw(),
+                        " in domain ", domain);
+        }
+        result = model_.access(domain, va, type);
+        if (result.completed) {
+            SASOS_OBS_EVENT(obs::EventKind::KernelResolveEnd,
+                            account_.total().count(), va.raw(), 1);
+            return true;
+        }
+    }
+}
+
+bool
 Kernel::handleProtectionFault(DomainId domain, vm::VAddr va,
                               vm::AccessType type)
 {

@@ -124,6 +124,14 @@ class Kernel
      */
     bool handleTranslationFault(DomainId domain, vm::VAddr va,
                                 vm::AccessType type);
+    /**
+     * Resolve the fault of a reference's first attempt (`result`)
+     * through the handlers above, retrying the access on the model
+     * bounded-many times. @return false if the fault became an
+     * exception (the caller counts the failed reference).
+     */
+    bool resolveAndRetry(DomainId domain, vm::VAddr va, vm::AccessType type,
+                         AccessResult result);
     /// @}
 
     /** Canonical (software-truth) rights of a domain on a page. */

@@ -409,44 +409,6 @@ PageGroupManager::assignedPagesIn(vm::Vpn first, u64 pages) const
     return result;
 }
 
-vm::Access
-PageGroupManager::hwRights(DomainId domain, vm::Vpn vpn) const
-{
-    vm::Access rights = vm::Access::None;
-    bool member = false;
-    bool disabled = false;
-    if (auto it = assignments_.find(vpn); it != assignments_.end()) {
-        rights = it->second.rights;
-        member = domainHasGroup(domain, it->second.aid);
-        disabled = writeDisabled(domain, it->second.aid);
-    } else if (const vm::Segment *seg = state_.segments.findByPage(vpn)) {
-        // Not assigned yet: express the vector pageState() would,
-        // without creating its group, so peeking moves nothing.
-        const bool plain = !state_.hasPageMask(vpn) &&
-                           state_.overrideDomains(vpn).empty();
-        const Expressed expressed = expressVector(
-            plain ? state_.segmentDefaultVector(seg->id)
-                  : state_.rightsVector(vpn),
-            std::nullopt);
-        rights = expressed.rights;
-        const auto it = expressed.members.find(domain);
-        member = it != expressed.members.end();
-        disabled = member && it->second;
-    }
-    if (!member)
-        return vm::Access::None;
-    return disabled ? rights & ~vm::Access::Write : rights;
-}
-
-void
-PageGroupManager::invalidateSegmentDefaults(vm::SegmentId seg)
-{
-    // Default-group membership and rights are derived on demand from
-    // VmState, so there is no cached state to invalidate; the hook
-    // exists so hardware models have a single notification point.
-    (void)seg;
-}
-
 namespace
 {
 

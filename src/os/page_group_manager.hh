@@ -113,21 +113,6 @@ class PageGroupManager
     std::vector<vm::Vpn> assignedPagesIn(vm::Vpn first, u64 pages) const;
     /// @}
 
-    /**
-     * Hardware-semantic rights of a domain on a page: the page's
-     * group Rights field, minus Write if the domain's D bit is set,
-     * and None if the domain is not a member of the group. A pure
-     * peek: a page not yet assigned is expressed as pageState() would
-     * group it, without creating the group.
-     */
-    vm::Access hwRights(DomainId domain, vm::Vpn vpn) const;
-
-    /**
-     * Invalidate the membership caches after attach/detach or
-     * segment-rights changes (default vectors changed).
-     */
-    void invalidateSegmentDefaults(vm::SegmentId seg);
-
     /** Live (allocated) group count. */
     std::size_t liveGroups() const { return groups_.size(); }
 

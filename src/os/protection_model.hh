@@ -22,6 +22,8 @@
 #ifndef SASOS_OS_PROTECTION_MODEL_HH
 #define SASOS_OS_PROTECTION_MODEL_HH
 
+#include <optional>
+
 #include "hw/tlb.hh" // DomainId, GroupId
 #include "vm/address.hh"
 #include "vm/rights.hh"
@@ -90,10 +92,10 @@ class ProtectionModel
 
     /**
      * Forget the same-page memo. The model's own maintenance hooks,
-     * probe misses and injected perturbations drop it internally;
-     * anything that mutates hardware structures behind the model's
-     * back -- a remote shootdown ack, a test poking a structure
-     * directly -- must call this, so a stale memo can never leak
+     * probe misses, injected perturbations and purgeForAck drop it
+     * internally; anything that mutates hardware structures behind
+     * the model's back -- a test poking a structure directly -- must
+     * call this, so a stale memo can never leak
      * rights or touch a recycled slot. The default is a no-op for
      * models without a memo.
      */
@@ -145,6 +147,18 @@ class ProtectionModel
      * rights; it may lag below them.
      */
     virtual vm::Access cachedRights(DomainId domain, vm::Vpn vpn) const = 0;
+
+    /**
+     * The shootdown handler's conservative invalidation: a remote core
+     * taking an IPI drops what its structures may still cache for
+     * [first, first + pages) -- for `domain` only, where the model's
+     * tags allow -- before it applies the deferred hook, so no entry
+     * refilled under a transient grant outlives the ack. Charges
+     * nothing (the caller charges the dispatch) and drops the
+     * same-page memo. @return entries invalidated.
+     */
+    virtual u64 purgeForAck(std::optional<DomainId> domain, vm::Vpn first,
+                            u64 pages) = 0;
 
     /** @name Snapshot hooks
      * Serialize the model's cached hardware state (PLB, TLBs,

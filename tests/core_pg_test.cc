@@ -299,6 +299,29 @@ TEST_F(PgSystemTest, EffectiveRightsNeverExceedCanonical)
     }
 }
 
+TEST_F(PgSystemTest, CachedRightsPeekTlbAndPidCache)
+{
+    // cachedRights reads the TLB entry's Rights field and the running
+    // domain's PID-cache write-disable bit: nothing for an idle domain
+    // or a cold structure.
+    const vm::SegmentId seg =
+        makeSegment(2, vm::Access::ReadWrite, vm::Access::Read);
+    const vm::Vpn vpn = sys_.state().segments.find(seg)->firstPage;
+    sys_.kernel().switchTo(b_);
+    EXPECT_EQ(model().cachedRights(b_, vpn), vm::Access::None);
+    EXPECT_TRUE(sys_.load(baseOf(seg)));
+    EXPECT_EQ(model().cachedRights(b_, vpn), vm::Access::Read);
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::None);
+    EXPECT_EQ(model().cachedRights(b_, vpn + 1), vm::Access::None);
+    // The switch purges the PID cache: the TLB entry alone grants
+    // nothing until a reference refills the group.
+    sys_.kernel().switchTo(a_);
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::None);
+    EXPECT_TRUE(sys_.store(baseOf(seg)));
+    EXPECT_EQ(model().cachedRights(a_, vpn), vm::Access::ReadWrite);
+    EXPECT_EQ(model().cachedRights(b_, vpn), vm::Access::None);
+}
+
 TEST_F(PgSystemTest, SegmentDestructionReleasesGroups)
 {
     const vm::SegmentId seg =

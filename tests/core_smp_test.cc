@@ -25,9 +25,12 @@ modelName(const ::testing::TestParamInfo<ModelKind> &info)
         return "plb";
       case ModelKind::PageGroup:
         return "pg";
-      default:
+      case ModelKind::Conventional:
         return "conv";
+      case ModelKind::Pkey:
+        return "pkey";
     }
+    return "unknown";
 }
 
 } // namespace
@@ -109,11 +112,11 @@ TEST_P(SmpTest, IpisChargedPerRemoteCpu)
 {
     sys_.runOn(0, nodes_[0]);
     sys_.store(base_);
-    const u64 ipis_before = sys_.broadcast().ipisSent.value();
+    const u64 ipis_before = sys_.ipisSent.value();
     const u64 work_before =
         sys_.account().byCategory(CostCategory::KernelWork).count();
     sys_.kernel().restrictPage(vm::pageOf(base_), vm::Access::None);
-    EXPECT_EQ(sys_.broadcast().ipisSent.value(), ipis_before + 3);
+    EXPECT_EQ(sys_.ipisSent.value(), ipis_before + 3);
     EXPECT_GE(sys_.account().byCategory(CostCategory::KernelWork).count() -
                   work_before,
               3 * sys_.costs().interProcessorInterrupt.count());
@@ -123,9 +126,9 @@ TEST_P(SmpTest, DomainSwitchIsLocalToItsCpu)
 {
     sys_.runOn(0, nodes_[0]);
     sys_.load(base_);
-    const u64 shootdowns_before = sys_.broadcast().shootdowns.value();
+    const u64 shootdowns_before = sys_.shootdowns.value();
     sys_.runOn(0, nodes_[1]); // switch on CPU 0 only
-    EXPECT_EQ(sys_.broadcast().shootdowns.value(), shootdowns_before);
+    EXPECT_EQ(sys_.shootdowns.value(), shootdowns_before);
 }
 
 TEST_P(SmpTest, SafetyInvariantAcrossCpus)
@@ -170,7 +173,7 @@ TEST_P(SmpTest, SingleCpuMachineSendsNoIpis)
     const vm::VAddr base = uni.state().segments.find(seg)->base();
     uni.store(base);
     uni.kernel().restrictPage(vm::pageOf(base), vm::Access::None);
-    EXPECT_EQ(uni.broadcast().ipisSent.value(), 0u);
+    EXPECT_EQ(uni.ipisSent.value(), 0u);
 }
 
 TEST_P(SmpTest, DvmRunsWithOneNodePerCpu)
@@ -184,7 +187,7 @@ TEST_P(SmpTest, DvmRunsWithOneNodePerCpu)
     EXPECT_EQ(result.references, 24u * 30u);
     EXPECT_GT(result.readFaults + result.writeFaults, 0u);
     // Coherence rights changes crossed CPUs.
-    EXPECT_GT(smp.broadcast().ipisSent.value(), 0u);
+    EXPECT_GT(smp.ipisSent.value(), 0u);
 }
 
 TEST_P(SmpTest, SmpDvmCostsMoreThanTimesharedDvm)
@@ -204,8 +207,100 @@ TEST_P(SmpTest, SmpDvmCostsMoreThanTimesharedDvm)
     EXPECT_GT(smp_cycles, uni_cycles);
 }
 
+class SmpPropertyTest : public ::testing::TestWithParam<ModelKind>
+{
+};
+
+TEST_P(SmpPropertyTest, NoCpuGrantsOrCachesBeyondCanonical)
+{
+    // Three CPUs, each pinned to its own domain, churn attachments and
+    // rights over two 4-page segments between references. After every
+    // reference, no grant may exceed the issuing domain's canonical
+    // rights, and no CPU's cached rights may exceed its own domain's.
+    // An attach that raises a segment's rights union changes page-
+    // group protections on every CPU, so it must be shot down too.
+    constexpr unsigned kCpus = 3;
+    constexpr u64 kPages = 4;
+    const vm::Access kRights[] = {vm::Access::None, vm::Access::Read,
+                                  vm::Access::ReadWrite};
+    u64 over_grants = 0;
+    u64 hw_over = 0;
+    std::string first;
+    for (u64 seed = 1; seed <= 40; ++seed) {
+        SmpSystem sys(SystemConfig::forModel(GetParam()), kCpus);
+        os::Kernel &kernel = sys.kernel();
+        std::vector<os::DomainId> nodes;
+        for (unsigned cpu = 0; cpu < kCpus; ++cpu)
+            nodes.push_back(kernel.createDomain("n" + std::to_string(cpu)));
+        std::vector<const vm::Segment *> segs;
+        for (int s = 0; s < 2; ++s) {
+            const vm::SegmentId id =
+                kernel.createSegment("s" + std::to_string(s), kPages);
+            segs.push_back(sys.state().segments.find(id));
+            for (os::DomainId node : nodes)
+                kernel.attach(node, id, vm::Access::Read);
+        }
+        Rng rng(seed);
+        for (int op = 0; op < 600; ++op) {
+            const unsigned cpu = static_cast<unsigned>(rng.nextBelow(kCpus));
+            sys.runOn(cpu, nodes[cpu]);
+            const os::DomainId target = nodes[rng.nextBelow(kCpus)];
+            const vm::Segment &seg = *segs[rng.nextBelow(segs.size())];
+            const vm::Access rights = kRights[1 + rng.nextBelow(2)];
+            const u64 roll = rng.nextBelow(100);
+            if (roll < 8) {
+                if (sys.state().domain(target).prot.isAttached(seg.id))
+                    kernel.detach(target, seg.id);
+                else
+                    kernel.attach(target, seg.id, rights);
+                continue;
+            }
+            if (roll < 12) {
+                if (sys.state().domain(target).prot.isAttached(seg.id))
+                    kernel.setSegmentRights(target, seg.id, rights);
+                continue;
+            }
+            if (roll < 16) {
+                kernel.setPageRights(target,
+                                     seg.firstPage + rng.nextBelow(kPages),
+                                     kRights[rng.nextBelow(3)]);
+                continue;
+            }
+            const vm::VAddr va =
+                seg.base() + rng.nextBelow(kPages * vm::kPageBytes);
+            const vm::AccessType type = rng.bernoulli(0.5)
+                                            ? vm::AccessType::Store
+                                            : vm::AccessType::Load;
+            const vm::Access canonical =
+                kernel.canonicalRights(nodes[cpu], vm::pageOf(va));
+            if (sys.access(va, type) &&
+                !vm::includes(canonical, vm::requiredRight(type))) {
+                ++over_grants;
+                if (first.empty())
+                    first = "seed " + std::to_string(seed) + " op " +
+                            std::to_string(op) + ": granted " +
+                            vm::toString(vm::requiredRight(type)) +
+                            " on a " + vm::toString(canonical) + " page";
+            }
+            for (unsigned c = 0; c < kCpus; ++c) {
+                for (const vm::Segment *s : segs) {
+                    for (u64 p = 0; p < kPages; ++p) {
+                        const vm::Vpn vpn = s->firstPage + p;
+                        if (!vm::includes(
+                                kernel.canonicalRights(nodes[c], vpn),
+                                sys.models().core(c).cachedRights(nodes[c],
+                                                                  vpn)))
+                            ++hw_over;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(over_grants, 0u) << first;
+    EXPECT_EQ(hw_over, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, SmpTest,
-                         ::testing::Values(ModelKind::Plb,
-                                           ModelKind::PageGroup,
-                                           ModelKind::Conventional),
-                         modelName);
+                         ::testing::ValuesIn(allModels()), modelName);
+INSTANTIATE_TEST_SUITE_P(Models, SmpPropertyTest,
+                         ::testing::ValuesIn(allModels()), modelName);

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <sstream>
 
 #include "core/conventional_system.hh"
@@ -61,18 +60,15 @@ compare(const fault::RunOutcome &baseline, const fault::RunOutcome &run,
 /**
  * Raise the rights `model` caches for (domain, vpn) to All through
  * the model's public hardware accessor, as a model that missed a
- * revoke would hold them. PLB, conventional (ASID-tagged) and key
- * models need the entry cached already. The page-group model's cached
- * state is its manager's grouping: the page is split toward `domain`
- * with All through `kernel`, that grouping is imaged, the grant is
- * revoked, and the stale image is restored. `settle` runs after each
- * kernel call, until every core has applied it.
+ * revoke would hold them: the PLB entry, the ASID-tagged TLB entry,
+ * the (domain, key) register, or the page-group TLB entry's Rights
+ * field. The entry must be cached already (for the page-group model,
+ * with `domain` running and its group in the PID cache).
  * @return false when there was nothing cached to raise.
  */
 bool
-raiseCachedEntry(
-    os::ProtectionModel &model, os::Kernel &kernel, os::DomainId domain,
-    vm::Vpn vpn, const std::function<void()> &settle = [] {})
+raiseCachedEntry(os::ProtectionModel &model, os::DomainId domain,
+                 vm::Vpn vpn)
 {
     bool raised = false;
     if (auto *plb = dynamic_cast<PlbSystem *>(&model)) {
@@ -86,16 +82,8 @@ raiseCachedEntry(
                  pkey->keyCache().updateRights(domain, entry->aid,
                                                vm::Access::All);
     } else if (auto *pg = dynamic_cast<PageGroupSystem *>(&model)) {
-        kernel.setPageRights(domain, vpn, vm::Access::All);
-        settle();
-        snap::SnapWriter w;
-        pg->manager().save(w);
-        std::vector<u8> image = std::move(w).seal();
-        kernel.setPageRights(domain, vpn, vm::Access::None);
-        settle();
-        snap::SnapReader r(std::move(image));
-        pg->manager().load(r);
-        raised = true;
+        raised = pg->cachedRights(domain, vpn) != vm::Access::None &&
+                 pg->tlb().setRights(vpn, vm::Access::All);
     }
     model.dropMemo();
     return raised;
@@ -231,8 +219,7 @@ TEST(CachedRightsTest, ProbeCatchesARaisedEntryOnEveryModel)
         fault::probeFinalState(m.sys, clean);
         EXPECT_TRUE(clean.hwWithinCanonical) << toString(kind);
 
-        ASSERT_TRUE(raiseCachedEntry(m.sys.model(), m.sys.kernel(), m.a,
-                                     m.first))
+        ASSERT_TRUE(raiseCachedEntry(m.sys.model(), m.a, m.first))
             << toString(kind);
         EXPECT_FALSE(vm::includes(
             m.sys.kernel().canonicalRights(m.a, m.first),
@@ -259,8 +246,7 @@ TEST(CachedRightsTest, DifferentialVerdictCatchesARaisedEntry)
             const vm::Vpn vpn = sys.state().segments.find(seg)->firstPage;
             run.decisions.push_back(sys.store(vm::baseOf(vpn)) ? 1 : 0);
             if (sys.config().model == ModelKind::Conventional) {
-                ASSERT_TRUE(
-                    raiseCachedEntry(sys.model(), sys.kernel(), d, vpn));
+                ASSERT_TRUE(raiseCachedEntry(sys.model(), d, vpn));
             }
         });
     EXPECT_EQ(verdict.violations,
@@ -286,9 +272,7 @@ TEST(CachedRightsTest, McQuiescenceCheckCatchesARaisedEntry)
         ASSERT_FALSE(machine.done()) << toString(kind);
         EXPECT_EQ(first.hwViolations, 0u) << toString(kind);
 
-        // Tamper with the last core; the page-group round trip runs
-        // the machine to quiescence after each kernel call, so every
-        // core has applied it before the stale image goes back.
+        // Tamper with the last core.
         const unsigned core = machine.coreCount() - 1;
         const os::DomainId domain = machine.domainOf(core);
         os::ProtectionModel &model = machine.coreModel(core);
@@ -299,8 +283,7 @@ TEST(CachedRightsTest, McQuiescenceCheckCatchesARaisedEntry)
             vpn = vpn + 1;
         ASSERT_NE(model.cachedRights(domain, vpn), vm::Access::None)
             << toString(kind);
-        ASSERT_TRUE(raiseCachedEntry(model, machine.kernel(), domain, vpn,
-                                     [&] { machine.run(1); }))
+        ASSERT_TRUE(raiseCachedEntry(model, domain, vpn))
             << toString(kind);
 
         // A core that goes on to use the raised entry also trips the

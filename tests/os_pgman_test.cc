@@ -74,6 +74,7 @@ TEST_F(PgManTest, MembershipFollowsAttachment)
     EXPECT_FALSE(mgr_.domainHasGroup(b_, aid));
     attach(b_, vm::Access::ReadWrite);
     EXPECT_TRUE(mgr_.domainHasGroup(b_, aid));
+    EXPECT_FALSE(mgr_.domainHasGroup(999, aid));
 }
 
 TEST_F(PgManTest, GlobalGroupBelongsToEveryone)
@@ -93,15 +94,6 @@ TEST_F(PgManTest, WriteDisableBitForReadOnlyAttach)
     EXPECT_FALSE(mgr_.writeDisabled(a_, aid));
     EXPECT_TRUE(mgr_.writeDisabled(b_, aid));
     EXPECT_TRUE(mgr_.domainHasGroup(b_, aid));
-}
-
-TEST_F(PgManTest, HwRightsApplyDBit)
-{
-    attach(a_, vm::Access::ReadWrite);
-    attach(b_, vm::Access::Read);
-    EXPECT_EQ(mgr_.hwRights(a_, first_), vm::Access::ReadWrite);
-    EXPECT_EQ(mgr_.hwRights(b_, first_), vm::Access::Read);
-    EXPECT_EQ(mgr_.hwRights(999, first_), vm::Access::None);
 }
 
 TEST_F(PgManTest, OverrideSplitsPageIntoNewGroup)

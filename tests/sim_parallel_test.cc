@@ -259,11 +259,11 @@ clusteredPlbConfig()
 
 struct TwinSystems
 {
-    explicit TwinSystems(const core::SystemConfig &config)
+    explicit TwinSystems(const core::SystemConfig &config, u64 pages = 64)
         : perCall(config), viaRun(config)
     {
-        setUp(perCall);
-        setUp(viaRun);
+        setUp(perCall, pages);
+        setUp(viaRun, pages);
     }
 
     explicit TwinSystems(core::ModelKind kind)
@@ -272,10 +272,10 @@ struct TwinSystems
     }
 
     void
-    setUp(core::System &sys)
+    setUp(core::System &sys, u64 pages)
     {
         const os::DomainId app = sys.kernel().createDomain("app");
-        const vm::SegmentId seg = sys.kernel().createSegment("heap", 64);
+        const vm::SegmentId seg = sys.kernel().createSegment("heap", pages);
         sys.kernel().attach(app, seg, vm::Access::ReadWrite);
         sys.kernel().switchTo(app);
         base = sys.state().segments.find(seg)->base();
@@ -344,6 +344,29 @@ TEST_P(BatchedRunTest, MatchesPerCallAccessCycleForCycle)
 {
     TwinSystems twins(GetParam());
     expectZipfTwinsMatch(twins, 30'000, 11);
+}
+
+TEST_P(BatchedRunTest, MatchesPerCallOnEveryStandardStream)
+{
+    // The sweep's stream recipes over a 256-page heap: System::run and
+    // memo-free per-call access() must leave the same stats dump and
+    // cycle account, stream for stream.
+    constexpr u64 kPages = 256;
+    constexpr u64 kRefs = 20'000;
+    constexpr u64 kSeed = 7;
+    for (const auto &[name, factory] : farm::standardStreams()) {
+        TwinSystems twins(core::SystemConfig::forModel(GetParam()), kPages);
+        auto per_call_stream = factory(twins.base, kPages, kSeed);
+        auto run_stream = factory(twins.base, kPages, kSeed);
+        Rng rng_a(kSeed);
+        Rng rng_b(kSeed);
+        for (u64 i = 0; i < kRefs; ++i) {
+            accessWithoutMemo(twins.perCall, per_call_stream->next(rng_a),
+                              vm::AccessType::Load);
+        }
+        twins.viaRun.run(*run_stream, kRefs, rng_b);
+        EXPECT_EQ(dumpOf(twins.viaRun), dumpOf(twins.perCall)) << name;
+    }
 }
 
 TEST_P(BatchedRunTest, MatchesPerCallWhenReferencesFail)
@@ -668,10 +691,7 @@ TEST_P(BatchedRunTest, FaultInjectedRunMatchesPerCall)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllModels, BatchedRunTest,
-    ::testing::Values(core::ModelKind::Plb, core::ModelKind::PageGroup,
-                      core::ModelKind::Conventional,
-                      core::ModelKind::Pkey),
+    AllModels, BatchedRunTest, ::testing::ValuesIn(core::allModels()),
     [](const ::testing::TestParamInfo<core::ModelKind> &info) {
         switch (info.param) {
           case core::ModelKind::Plb:
