@@ -36,6 +36,8 @@
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/mc/mc_system.hh"
 #include "obs/json.hh"
 
@@ -116,10 +118,15 @@ dumpOf(core::mc::McSystem &sys)
     return os.str();
 }
 
+/** A temp-directory path private to this process: two bench_snap
+ * runs at once (two build trees under ctest, CI beside a local run)
+ * must not overwrite or delete each other's image. */
 std::string
 scratchImagePath(const char *name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    const std::string file =
+        "bench_snap-" + std::to_string(::getpid()) + "-" + name;
+    return (std::filesystem::temp_directory_path() / file).string();
 }
 
 /** One oracle verdict, for the table and the json artifact. */

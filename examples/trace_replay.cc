@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <string>
+
+#include <unistd.h>
 
 #include "sasos.hh"
 #include "trace/trace.hh"
@@ -61,8 +64,10 @@ main(int argc, char **argv)
     const u64 seed = options.getU64("seed", 42);
     const bool keep = options.getBool("keep", false);
 
+    // The process id keeps concurrent runs off each other's file.
     const std::string path =
-        (std::filesystem::temp_directory_path() / "sasos_example.trc")
+        (std::filesystem::temp_directory_path() /
+         ("sasos_example-" + std::to_string(::getpid()) + ".trc"))
             .string();
     recordTrace(path, refs, seed);
 

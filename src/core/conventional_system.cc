@@ -40,50 +40,18 @@ ConventionalSystem::tagOf(os::DomainId domain) const
     return config_.purgeTlbOnSwitch ? 0 : domain;
 }
 
-bool
-ConventionalSystem::applyPerturbation(const fault::Perturbation &p)
-{
-    // Evictions and flushes below may take the memoized entry.
-    memo_.valid = false;
-    Rng &rng = injector_->rng();
-    // The combined TLB holds protection and translation together, so
-    // both eviction flavors land on it.
-    if (p.evictProtection) {
-        tlb_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::TlbEvict, account_.total().count(),
-                        0, 1);
-    }
-    if (p.evictTranslation) {
-        tlb_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::TlbEvict, account_.total().count(),
-                        0, 1);
-    }
-    if (p.evictData) {
-        if (auto victim = mem_.l1().evictRandomLine(rng); victim &&
-            victim->dirty) {
-            charge(CostCategory::Reference, config_.costs.writeback);
-        }
-        SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                        account_.total().count(), 0, 1);
-    }
-    if (p.flushProtection) {
-        tlb_.purgeAll();
-        SASOS_OBS_EVENT(obs::EventKind::ProtectionFlush,
-                        account_.total().count(), 0, 0);
-    }
-    if (p.delayFill)
-        charge(CostCategory::Refill, config_.costs.faultDelay);
-    return p.transientFault;
-}
-
 os::AccessResult
 ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
                            vm::AccessType type)
 {
-    if (injector_ != nullptr) {
-        const fault::Perturbation p = injector_->tick();
-        if (p.any() && applyPerturbation(p))
-            return {false, os::FaultKind::Protection};
+    // The combined TLB holds protection and translation together, so
+    // both eviction flavors land on it.
+    if (injector_ != nullptr &&
+        mem_.perturb(
+            *this, tlb_, obs::EventKind::TlbEvict,
+            [&](Rng &rng) { tlb_.evictOne(rng); },
+            [&] { tlb_.purgeAll(); })) {
+        return {false, os::FaultKind::Protection};
     }
 
     const vm::Vpn vpn = vm::pageOf(va);
@@ -94,8 +62,7 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
     charge(CostCategory::Reference, config_.costs.tlbLookup);
 
     hw::TlbEntry *entry;
-    if (memo_.valid && memo_.domain == domain &&
-        memo_.vpn == vpn.number()) {
+    if (memoHit(domain, vpn)) {
         // The previous reference hit this page's entry: count and
         // touch it exactly as a probe would, without re-probing.
         entry = memo_.entry;
@@ -105,7 +72,12 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
         // may evict the entry it points at.
         hw::AssocLoc loc;
         entry = tlb_.lookup(vpn, asid, &loc);
-        memo_ = {entry != nullptr, domain, vpn.number(), entry, loc};
+        if (entry != nullptr) {
+            memoize(domain, vpn);
+            memo_ = {entry, loc};
+        } else {
+            dropMemo();
+        }
     }
     if (entry == nullptr) {
         SASOS_OBS_EVENT(obs::EventKind::TlbMiss, account_.total().count(),
@@ -133,38 +105,14 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
         return {false, os::FaultKind::Protection};
     }
 
-    const vm::PAddr pa = vm::translate(va, entry->pfn);
-    if (mem_.l1Access(va, pa, store)) {
-        SASOS_OBS_EVENT(obs::EventKind::DCacheHit,
-                        account_.total().count(), va.raw(), store);
-    } else {
-        SASOS_OBS_EVENT(obs::EventKind::DCacheMiss,
-                        account_.total().count(), va.raw(), store);
-        if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-            SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                            account_.total().count(), va.raw(),
-                            victim->dirty);
-            if (victim->dirty)
-                charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    entry->referenced = true;
-    if (store)
-        entry->dirty = true;
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
+    mem_.accessPhysical(va, *entry, store, state_.pageTable);
     return {true, os::FaultKind::None};
 }
 
 void
-ConventionalSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
+ConventionalSystem::doAttach(os::DomainId domain, const vm::Segment &seg,
                              vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     // Entries fault in lazily, one per (domain, page).
     (void)domain;
     (void)seg;
@@ -172,11 +120,8 @@ ConventionalSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
 }
 
 void
-ConventionalSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
+ConventionalSystem::doDetach(os::DomainId domain, const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const auto result =
         tlb_.purgeRange(tagOf(domain), seg.firstPage, seg.pages);
     charge(CostCategory::KernelWork,
@@ -185,12 +130,9 @@ ConventionalSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
 }
 
 void
-ConventionalSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
+ConventionalSystem::doSetPageRights(os::DomainId domain, vm::Vpn vpn,
                                     vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     if (config_.purgeTlbOnSwitch) {
         // Untagged entries belong to whichever domain runs; the only
         // safe update is a purge-and-refill.
@@ -209,11 +151,8 @@ ConventionalSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 }
 
 void
-ConventionalSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
+ConventionalSystem::doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)rights;
     // Every domain's replica must go; refills apply the mask.
     const u64 dropped = tlb_.purgePage(vpn);
@@ -223,11 +162,8 @@ ConventionalSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 }
 
 void
-ConventionalSystem::onClearPageRightsAllDomains(vm::Vpn vpn)
+ConventionalSystem::doClearPageRightsAllDomains(vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const u64 dropped = tlb_.purgePage(vpn);
     charge(CostCategory::KernelWork,
            dropped * config_.costs.invalidateEntry +
@@ -235,13 +171,10 @@ ConventionalSystem::onClearPageRightsAllDomains(vm::Vpn vpn)
 }
 
 void
-ConventionalSystem::onSetSegmentRights(os::DomainId domain,
+ConventionalSystem::doSetSegmentRights(os::DomainId domain,
                                        const vm::Segment &seg,
                                        vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)rights;
     const auto result =
         tlb_.purgeRange(tagOf(domain), seg.firstPage, seg.pages);
@@ -251,11 +184,8 @@ ConventionalSystem::onSetSegmentRights(os::DomainId domain,
 }
 
 void
-ConventionalSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
+ConventionalSystem::doDomainSwitch(os::DomainId from, os::DomainId to)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)from;
     running_ = to;
     if (config_.purgeTlbOnSwitch) {
@@ -280,21 +210,15 @@ ConventionalSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 }
 
 void
-ConventionalSystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
+ConventionalSystem::doPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)vpn;
     (void)pfn;
 }
 
 void
-ConventionalSystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
+ConventionalSystem::doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const u64 dropped = tlb_.purgePage(vpn);
     charge(CostCategory::KernelWork,
            dropped * config_.costs.invalidateEntry);
@@ -302,11 +226,8 @@ ConventionalSystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 }
 
 void
-ConventionalSystem::onDomainDestroyed(os::DomainId domain)
+ConventionalSystem::doDomainDestroyed(os::DomainId domain)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     if (config_.purgeTlbOnSwitch)
         return; // no per-domain tags to clean
     const auto result = tlb_.purgeAsid(tagOf(domain));
@@ -316,11 +237,8 @@ ConventionalSystem::onDomainDestroyed(os::DomainId domain)
 }
 
 void
-ConventionalSystem::onSegmentDestroyed(const vm::Segment &seg)
+ConventionalSystem::doSegmentDestroyed(const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const auto result =
         tlb_.purgeRange(std::nullopt, seg.firstPage, seg.pages);
     charge(CostCategory::KernelWork,
@@ -329,11 +247,8 @@ ConventionalSystem::onSegmentDestroyed(const vm::Segment &seg)
 }
 
 bool
-ConventionalSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
+ConventionalSystem::doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     // Stale per-domain entry; drop it so the refill reads the tables.
     tlb_.purgePageAsid(vpn, tagOf(domain));
     charge(CostCategory::KernelWork, config_.costs.invalidateEntry);
@@ -352,13 +267,12 @@ ConventionalSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 }
 
 u64
-ConventionalSystem::purgeForAck(std::optional<os::DomainId> domain,
-                                vm::Vpn first, u64 pages)
+ConventionalSystem::doPurgeForAck(std::optional<os::DomainId> domain,
+                                  vm::Vpn first, u64 pages)
 {
     // Untagged entries carry ASID 0, whichever domain filled them.
     if (domain && config_.purgeTlbOnSwitch)
         domain = 0;
-    memo_.valid = false;
     return tlb_.purgeRange(domain, first, pages).invalidated;
 }
 
@@ -371,11 +285,8 @@ ConventionalSystem::save(snap::SnapWriter &w) const
 }
 
 void
-ConventionalSystem::load(snap::SnapReader &r)
+ConventionalSystem::doLoad(snap::SnapReader &r)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     // The image does not say who owns the untagged entries.
     running_ = 0;
     r.expectTag("convmodel");

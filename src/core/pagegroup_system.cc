@@ -37,7 +37,7 @@ PageGroupSystem::PageGroupSystem(const SystemConfig &config,
     // any PID still cached for it must go (and with it any same-page
     // memo that could be replaying the stale group).
     manager_.onGroupFreed = [this](os::GroupId aid) {
-        memo_.valid = false;
+        dropMemo();
         pgCache_.remove(aid);
     };
 }
@@ -48,50 +48,17 @@ PageGroupSystem::charge(CostCategory category, Cycles cycles)
     account_.charge(category, cycles);
 }
 
-bool
-PageGroupSystem::applyPerturbation(const fault::Perturbation &p)
-{
-    // Evictions and flushes below may take the memoized entries.
-    memo_.valid = false;
-    Rng &rng = injector_->rng();
-    if (p.evictProtection) {
-        pgCache_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::PgCacheEvict,
-                        account_.total().count(), 0, 1);
-    }
-    if (p.evictTranslation) {
-        tlb_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::TlbEvict, account_.total().count(),
-                        0, 1);
-    }
-    if (p.evictData) {
-        if (auto victim = mem_.l1().evictRandomLine(rng); victim &&
-            victim->dirty) {
-            charge(CostCategory::Reference, config_.costs.writeback);
-        }
-        SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                        account_.total().count(), 0, 1);
-    }
-    if (p.flushProtection) {
-        pgCache_.purgeAll();
-        SASOS_OBS_EVENT(obs::EventKind::ProtectionFlush,
-                        account_.total().count(), 0, 0);
-    }
-    if (p.delayFill)
-        charge(CostCategory::Refill, config_.costs.faultDelay);
-    return p.transientFault;
-}
-
 os::AccessResult
 PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
                         vm::AccessType type)
 {
-    if (injector_ != nullptr) {
-        const fault::Perturbation p = injector_->tick();
-        if (p.any() && applyPerturbation(p)) {
-            current_ = domain;
-            return {false, os::FaultKind::Protection};
-        }
+    if (injector_ != nullptr &&
+        mem_.perturb(
+            *this, tlb_, obs::EventKind::PgCacheEvict,
+            [&](Rng &rng) { pgCache_.evictOne(rng); },
+            [&] { pgCache_.purgeAll(); })) {
+        current_ = domain;
+        return {false, os::FaultKind::Protection};
     }
 
     const vm::Vpn vpn = vm::pageOf(va);
@@ -108,8 +75,7 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
     // --- Combined TLB: translation + AID + group rights. A same-page
     // run replays the previous reference's TLB and page-group hits
     // from the memo, counted and touched exactly as the probes would.
-    const bool memo_hit = memo_.valid && memo_.domain == domain &&
-                          memo_.vpn == vpn.number();
+    const bool memo_hit = memoHit(domain, vpn);
     hw::AssocLoc tlb_loc;
     hw::TlbEntry *entry;
     if (memo_hit) {
@@ -117,7 +83,7 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
         tlb_.replayHit(memo_.tlbLoc);
     } else {
         // The refills below may evict the entries the memo points at.
-        memo_.valid = false;
+        dropMemo();
         entry = tlb_.lookup(vpn, 0, &tlb_loc);
     }
     const bool tlb_hit = entry != nullptr;
@@ -160,8 +126,8 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
         // Fills leave their ways unknown, so only a reference that hit
         // both structures memoizes; the next same-page one replays.
         if (tlb_hit && !memo_hit) {
-            memo_ = {true, domain, vpn.number(), entry, tlb_loc, pg_loc,
-                     write_disable};
+            memoize(domain, vpn);
+            memo_ = {entry, tlb_loc, pg_loc, write_disable};
         }
     } else if (manager_.domainHasGroup(domain, entry->aid)) {
         // Lightweight kernel refill of the page-group cache.
@@ -189,36 +155,13 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
     }
 
     // --- Data cache (physical tag from the TLB's translation).
-    const vm::PAddr pa = vm::translate(va, entry->pfn);
-    if (mem_.l1Access(va, pa, store)) {
-        SASOS_OBS_EVENT(obs::EventKind::DCacheHit,
-                        account_.total().count(), va.raw(), store);
-    } else {
-        SASOS_OBS_EVENT(obs::EventKind::DCacheMiss,
-                        account_.total().count(), va.raw(), store);
-        if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-            SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                            account_.total().count(), va.raw(),
-                            victim->dirty);
-            if (victim->dirty)
-                charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    entry->referenced = true;
-    if (store)
-        entry->dirty = true;
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
+    mem_.accessPhysical(va, *entry, store, state_.pageTable);
     return {true, os::FaultKind::None};
 }
 
 void
 PageGroupSystem::syncTlbEntry(vm::Vpn vpn, const os::PageGroupState &st)
 {
-    // The rewritten entry may be the one the same-page memo replays.
-    memo_.valid = false;
     if (tlb_.setGroup(vpn, st.aid, st.rights)) {
         ++groupMoves;
         charge(CostCategory::KernelWork, config_.costs.invalidateEntry);
@@ -228,7 +171,6 @@ PageGroupSystem::syncTlbEntry(vm::Vpn vpn, const os::PageGroupState &st)
 void
 PageGroupSystem::checkUnionChanged(const vm::Segment &seg)
 {
-    memo_.valid = false;
     const vm::Access now = manager_.defaultRightsOf(seg.id);
     auto it = lastUnion_.find(seg.id);
     if (it != lastUnion_.end() && it->second == now)
@@ -254,13 +196,12 @@ PageGroupSystem::checkUnionChanged(const vm::Segment &seg)
 }
 
 void
-PageGroupSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
+PageGroupSystem::doAttach(os::DomainId domain, const vm::Segment &seg,
                           vm::Access rights)
 {
     (void)rights;
     // Table 1: "add the page-group identifier for the segment to the
     // page-group cache" -- O(1), the model's headline advantage.
-    memo_.valid = false;
     const os::GroupId aid = manager_.defaultGroupOf(seg.id);
     if (domain == current_ && current_ != 0 &&
         manager_.domainHasGroup(domain, aid)) {
@@ -271,11 +212,10 @@ PageGroupSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
 }
 
 void
-PageGroupSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
+PageGroupSystem::doDetach(os::DomainId domain, const vm::Segment &seg)
 {
     // Table 1: "remove the appropriate page-group identifier from the
     // page-group cache".
-    memo_.valid = false;
     for (os::GroupId aid : manager_.groupsOfSegment(seg.id)) {
         if (domain == current_ && pgCache_.remove(aid))
             charge(CostCategory::KernelWork, config_.costs.invalidateEntry);
@@ -288,14 +228,13 @@ PageGroupSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
 }
 
 void
-PageGroupSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
+PageGroupSystem::doSetPageRights(os::DomainId domain, vm::Vpn vpn,
                                  vm::Access rights)
 {
     (void)domain;
     (void)rights;
     // Section 4.1.2: a per-domain change on a shared page may move
     // the page between groups (a split); the manager decides.
-    memo_.valid = false;
     const os::PageGroupState st = manager_.regroupPage(vpn);
     syncTlbEntry(vpn, st);
     // If the current domain gained a new group, it will fault it into
@@ -303,30 +242,26 @@ PageGroupSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 }
 
 void
-PageGroupSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
+PageGroupSystem::doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
     (void)rights;
     // Table 1 paging rows: the page moves to the pager-private (or
     // null) group -- a single TLB entry update.
-    memo_.valid = false;
     syncTlbEntry(vpn, manager_.regroupPage(vpn));
 }
 
 void
-PageGroupSystem::onClearPageRightsAllDomains(vm::Vpn vpn)
+PageGroupSystem::doClearPageRightsAllDomains(vm::Vpn vpn)
 {
-    memo_.valid = false;
     syncTlbEntry(vpn, manager_.regroupPage(vpn));
 }
 
 void
-PageGroupSystem::onSetSegmentRights(os::DomainId domain,
+PageGroupSystem::doSetSegmentRights(os::DomainId domain,
                                     const vm::Segment &seg,
                                     vm::Access rights)
 {
-    (void)domain;
     (void)rights;
-    memo_.valid = false;
     // Membership and D bits are derived, so a grant change that keeps
     // the union intact (e.g. dropping one domain to read-only via its
     // D bit) costs nothing here; a union change purges the range.
@@ -359,23 +294,17 @@ PageGroupSystem::regroupCandidates(const vm::Segment &seg) const
 }
 
 void
-PageGroupSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
+PageGroupSystem::doDomainSwitch(os::DomainId from, os::DomainId to)
 {
     (void)from;
     current_ = to;
     // Section 4.1.4: purge the page-group cache; reload eagerly or
     // let protection faults reload it lazily.
-    memo_.valid = false;
     pgCache_.purgeAll();
     charge(CostCategory::DomainSwitch, config_.costs.registerWrite);
     if (config_.eagerPgReload) {
-        const auto groups = manager_.groupsOf(to);
-        std::vector<os::GroupId> with_bits;
-        with_bits.reserve(groups.size());
-        for (os::GroupId aid : groups)
-            with_bits.push_back(aid);
         u64 loaded = 0;
-        for (os::GroupId aid : with_bits) {
+        for (os::GroupId aid : manager_.groupsOf(to)) {
             if (loaded >= pgCache_.capacity())
                 break;
             pgCache_.insert(aid, manager_.writeDisabled(to, aid));
@@ -388,36 +317,32 @@ PageGroupSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 }
 
 void
-PageGroupSystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
+PageGroupSystem::doPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
     (void)vpn;
     (void)pfn;
-    memo_.valid = false;
 }
 
 void
-PageGroupSystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
+PageGroupSystem::doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    memo_.valid = false;
     if (tlb_.purgePage(vpn))
         charge(CostCategory::KernelWork, config_.costs.invalidateEntry);
     mem_.flushPage(vpn, pfn);
 }
 
 void
-PageGroupSystem::onDomainDestroyed(os::DomainId domain)
+PageGroupSystem::doDomainDestroyed(os::DomainId domain)
 {
     (void)domain;
     // Memberships are derived from canonical state, which the kernel
     // has already cleared; cached PIDs belong to the current domain,
     // which cannot be the one destroyed.
-    memo_.valid = false;
 }
 
 void
-PageGroupSystem::onSegmentDestroyed(const vm::Segment &seg)
+PageGroupSystem::doSegmentDestroyed(const vm::Segment &seg)
 {
-    memo_.valid = false;
     for (os::GroupId aid : manager_.groupsOfSegment(seg.id))
         pgCache_.remove(aid);
     manager_.releaseSegment(seg.id);
@@ -430,19 +355,15 @@ PageGroupSystem::onSegmentDestroyed(const vm::Segment &seg)
 }
 
 bool
-PageGroupSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
+PageGroupSystem::doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
     // The canonical tables allow the access but the hardware said no:
     // the page's group does not serve this domain (stale Rights
     // field, or an inexpressible vector grouped toward another
     // domain). Regroup toward the faulting domain and refresh the
     // TLB and page-group cache.
-    memo_.valid = false;
     const os::PageGroupState st = manager_.regroupPageFor(vpn, domain);
     syncTlbEntry(vpn, st);
-    if (tlb_.peek(vpn) == nullptr) {
-        // Not cached; the next access refills from the manager.
-    }
     if (!manager_.domainHasGroup(domain, st.aid))
         return false;
     pgCache_.insert(st.aid, manager_.writeDisabled(domain, st.aid));
@@ -469,8 +390,8 @@ PageGroupSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 }
 
 u64
-PageGroupSystem::purgeForAck(std::optional<os::DomainId> domain,
-                             vm::Vpn first, u64 pages)
+PageGroupSystem::doPurgeForAck(std::optional<os::DomainId> domain,
+                               vm::Vpn first, u64 pages)
 {
     // Page-group entries are shared by all domains; the op's domain
     // does not narrow which TLB entries could be stale. The purge is
@@ -483,7 +404,6 @@ PageGroupSystem::purgeForAck(std::optional<os::DomainId> domain,
     // domain switch anyway) and drops the range's TLB entries; refills
     // after the final ack rederive from canonical state.
     (void)domain;
-    memo_.valid = false;
     pgCache_.purgeAll();
     return tlb_.purgeRange(std::nullopt, first, pages).invalidated;
 }
@@ -505,10 +425,9 @@ PageGroupSystem::save(snap::SnapWriter &w) const
 }
 
 void
-PageGroupSystem::load(snap::SnapReader &r)
+PageGroupSystem::doLoad(snap::SnapReader &r)
 {
     r.expectTag("pgmodel");
-    memo_.valid = false;
     manager_.load(r);
     tlb_.load(r);
     pgCache_.load(r);

@@ -46,30 +46,8 @@ class PageGroupSystem : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    /** Drop the same-page memo (see ProtectionModel::dropMemo). */
-    void dropMemo() override { memo_.valid = false; }
-
-    void onAttach(os::DomainId domain, const vm::Segment &seg,
-                  vm::Access rights) override;
-    void onDetach(os::DomainId domain, const vm::Segment &seg) override;
-    void onSetPageRights(os::DomainId domain, vm::Vpn vpn,
-                         vm::Access rights) override;
-    void onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override;
-    void onClearPageRightsAllDomains(vm::Vpn vpn) override;
-    void onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
-                            vm::Access rights) override;
-    void onDomainSwitch(os::DomainId from, os::DomainId to) override;
-    void onPageMapped(vm::Vpn vpn, vm::Pfn pfn) override;
-    void onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override;
-    void onDomainDestroyed(os::DomainId domain) override;
-    void onSegmentDestroyed(const vm::Segment &seg) override;
-    bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
     vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
-    u64 purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
-                    u64 pages) override;
-
     void save(snap::SnapWriter &w) const override;
-    void load(snap::SnapReader &r) override;
 
     /** @name Structure access for tests and benches */
     /// @{
@@ -91,12 +69,28 @@ class PageGroupSystem : public os::ProtectionModel
     stats::Scalar unionPurges;
     /// @}
 
+  protected:
+    void doAttach(os::DomainId domain, const vm::Segment &seg,
+                  vm::Access rights) override;
+    void doDetach(os::DomainId domain, const vm::Segment &seg) override;
+    void doSetPageRights(os::DomainId domain, vm::Vpn vpn,
+                         vm::Access rights) override;
+    void doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override;
+    void doClearPageRightsAllDomains(vm::Vpn vpn) override;
+    void doSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
+                            vm::Access rights) override;
+    void doDomainSwitch(os::DomainId from, os::DomainId to) override;
+    void doPageMapped(vm::Vpn vpn, vm::Pfn pfn) override;
+    void doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override;
+    void doDomainDestroyed(os::DomainId domain) override;
+    void doSegmentDestroyed(const vm::Segment &seg) override;
+    bool doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
+    u64 doPurgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                      u64 pages) override;
+    void doLoad(snap::SnapReader &r) override;
+
   private:
     void charge(CostCategory category, Cycles cycles);
-
-    /** Apply one injected perturbation to this machine's structures.
-     * @return true if the reference must raise a transient fault. */
-    bool applyPerturbation(const fault::Perturbation &p);
 
     /** Current domain, tracked from switch hooks for membership. */
     os::DomainId current_ = 0;
@@ -112,20 +106,17 @@ class PageGroupSystem : public os::ProtectionModel
     std::vector<vm::Vpn> regroupCandidates(const vm::Segment &seg) const;
 
     /**
-     * The same-page memo: the previous reference's TLB and page-group
-     * hits. Every path that may insert, evict or rewrite a TLB or
-     * page-group entry drops it first (a probe miss, every
-     * maintenance hook, a freed group, injected perturbations and
-     * dropMemo()), so a match guarantees `entry` and both replacement
-     * locations are still live. The TLB entry pointer is stable
-     * because the backing payload vector never reallocates and slot
-     * reuse only happens on inserts.
+     * The same-page memo's payload: the previous reference's TLB and
+     * page-group hits. Every path that may insert, evict or rewrite a
+     * TLB or page-group entry drops the memo first (see
+     * ProtectionModel; a freed group drops it too), so a memo hit
+     * guarantees `entry` and both replacement locations are still
+     * live. The TLB entry pointer is stable because the backing
+     * payload vector never reallocates and slot reuse only happens on
+     * inserts.
      */
     struct SamePageMemo
     {
-        bool valid = false;
-        os::DomainId domain = 0;
-        u64 vpn = 0;
         hw::TlbEntry *entry = nullptr;
         hw::AssocLoc tlbLoc{};
         /** Unused for group 0, whose check never probes the array. */

@@ -77,7 +77,7 @@ PerCoreModels::access(os::DomainId domain, vm::VAddr va,
 }
 
 void
-PerCoreModels::onAttach(os::DomainId domain, const vm::Segment &seg,
+PerCoreModels::doAttach(os::DomainId domain, const vm::Segment &seg,
                         vm::Access rights)
 {
     // An attach that leaves the segment's rights union unchanged is a
@@ -107,7 +107,7 @@ PerCoreModels::onAttach(os::DomainId domain, const vm::Segment &seg,
 }
 
 void
-PerCoreModels::onDetach(os::DomainId domain, const vm::Segment &seg)
+PerCoreModels::doDetach(os::DomainId domain, const vm::Segment &seg)
 {
     deliver_(
         [domain, seg](os::ProtectionModel &m) { m.onDetach(domain, seg); },
@@ -115,7 +115,7 @@ PerCoreModels::onDetach(os::DomainId domain, const vm::Segment &seg)
 }
 
 void
-PerCoreModels::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
+PerCoreModels::doSetPageRights(os::DomainId domain, vm::Vpn vpn,
                                vm::Access rights)
 {
     deliver_(
@@ -126,7 +126,7 @@ PerCoreModels::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 }
 
 void
-PerCoreModels::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
+PerCoreModels::doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
     deliver_(
         [vpn, rights](os::ProtectionModel &m) {
@@ -136,7 +136,7 @@ PerCoreModels::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 }
 
 void
-PerCoreModels::onClearPageRightsAllDomains(vm::Vpn vpn)
+PerCoreModels::doClearPageRightsAllDomains(vm::Vpn vpn)
 {
     deliver_(
         [vpn](os::ProtectionModel &m) { m.onClearPageRightsAllDomains(vpn); },
@@ -144,7 +144,7 @@ PerCoreModels::onClearPageRightsAllDomains(vm::Vpn vpn)
 }
 
 void
-PerCoreModels::onSetSegmentRights(os::DomainId domain,
+PerCoreModels::doSetSegmentRights(os::DomainId domain,
                                   const vm::Segment &seg, vm::Access rights)
 {
     deliver_(
@@ -155,21 +155,21 @@ PerCoreModels::onSetSegmentRights(os::DomainId domain,
 }
 
 void
-PerCoreModels::onDomainSwitch(os::DomainId from, os::DomainId to)
+PerCoreModels::doDomainSwitch(os::DomainId from, os::DomainId to)
 {
     // A switch is local to the processor it happens on.
     cores_[current_]->onDomainSwitch(from, to);
 }
 
 void
-PerCoreModels::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
+PerCoreModels::doPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
     // Mappings load lazily per core.
     cores_[current_]->onPageMapped(vpn, pfn);
 }
 
 void
-PerCoreModels::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
+PerCoreModels::doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
     // The classic TLB shootdown: every processor purges its entry and
     // flushes its cached lines.
@@ -179,7 +179,7 @@ PerCoreModels::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 }
 
 void
-PerCoreModels::onDomainDestroyed(os::DomainId domain)
+PerCoreModels::doDomainDestroyed(os::DomainId domain)
 {
     deliver_(
         [domain](os::ProtectionModel &m) { m.onDomainDestroyed(domain); },
@@ -187,14 +187,14 @@ PerCoreModels::onDomainDestroyed(os::DomainId domain)
 }
 
 void
-PerCoreModels::onSegmentDestroyed(const vm::Segment &seg)
+PerCoreModels::doSegmentDestroyed(const vm::Segment &seg)
 {
     deliver_([seg](os::ProtectionModel &m) { m.onSegmentDestroyed(seg); },
              seg.firstPage, seg.pages, std::nullopt);
 }
 
 bool
-PerCoreModels::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
+PerCoreModels::doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
     // Fault repair is local to the faulting processor.
     return cores_[current_]->refreshAfterFault(domain, vpn);
@@ -207,8 +207,8 @@ PerCoreModels::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 }
 
 u64
-PerCoreModels::purgeForAck(std::optional<os::DomainId> domain,
-                           vm::Vpn first, u64 pages)
+PerCoreModels::doPurgeForAck(std::optional<os::DomainId> domain,
+                             vm::Vpn first, u64 pages)
 {
     return cores_[current_]->purgeForAck(domain, first, pages);
 }

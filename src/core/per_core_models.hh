@@ -79,24 +79,26 @@ class PerCoreModels : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    void onAttach(os::DomainId domain, const vm::Segment &seg,
-                  vm::Access rights) override;
-    void onDetach(os::DomainId domain, const vm::Segment &seg) override;
-    void onSetPageRights(os::DomainId domain, vm::Vpn vpn,
-                         vm::Access rights) override;
-    void onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override;
-    void onClearPageRightsAllDomains(vm::Vpn vpn) override;
-    void onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
-                            vm::Access rights) override;
-    void onDomainSwitch(os::DomainId from, os::DomainId to) override;
-    void onPageMapped(vm::Vpn vpn, vm::Pfn pfn) override;
-    void onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override;
-    void onDomainDestroyed(os::DomainId domain) override;
-    void onSegmentDestroyed(const vm::Segment &seg) override;
-    bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
     vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
-    u64 purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
-                    u64 pages) override;
+
+  protected:
+    void doAttach(os::DomainId domain, const vm::Segment &seg,
+                  vm::Access rights) override;
+    void doDetach(os::DomainId domain, const vm::Segment &seg) override;
+    void doSetPageRights(os::DomainId domain, vm::Vpn vpn,
+                         vm::Access rights) override;
+    void doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override;
+    void doClearPageRightsAllDomains(vm::Vpn vpn) override;
+    void doSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
+                            vm::Access rights) override;
+    void doDomainSwitch(os::DomainId from, os::DomainId to) override;
+    void doPageMapped(vm::Vpn vpn, vm::Pfn pfn) override;
+    void doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override;
+    void doDomainDestroyed(os::DomainId domain) override;
+    void doSegmentDestroyed(const vm::Segment &seg) override;
+    bool doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
+    u64 doPurgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                      u64 pages) override;
 
   private:
     const SystemConfig &config_;

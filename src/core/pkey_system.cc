@@ -41,47 +41,6 @@ PkeySystem::charge(CostCategory category, Cycles cycles)
     account_.charge(category, cycles);
 }
 
-bool
-PkeySystem::applyPerturbation(const fault::Perturbation &p)
-{
-    // Evictions and flushes below may take the memoized entries.
-    memo_.valid = false;
-    Rng &rng = injector_->rng();
-    // Protection state lives in the key-permission register file, so
-    // the protection eviction flavor lands there; rights are rederived
-    // from canonical state on the next miss.
-    if (p.evictProtection) {
-        keyCache_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::KeyEvict,
-                        account_.total().count(), 0, 1);
-    }
-    if (p.evictTranslation) {
-        tlb_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::TlbEvict, account_.total().count(),
-                        0, 1);
-    }
-    if (p.evictData) {
-        if (auto victim = mem_.l1().evictRandomLine(rng); victim &&
-            victim->dirty) {
-            charge(CostCategory::Reference, config_.costs.writeback);
-        }
-        SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                        account_.total().count(), 0, 1);
-    }
-    if (p.flushProtection) {
-        // Key-register corruption: the whole file is scrubbed and
-        // refilled from the kernel's tables, the pkey analogue of the
-        // other models' protection-structure flush.
-        keyCache_.purgeAll();
-        ++keyCorruptions;
-        SASOS_OBS_EVENT(obs::EventKind::ProtectionFlush,
-                        account_.total().count(), 0, 0);
-    }
-    if (p.delayFill)
-        charge(CostCategory::Refill, config_.costs.faultDelay);
-    return p.transientFault;
-}
-
 hw::KeyId
 PkeySystem::allocKey(BindKind kind, u64 id)
 {
@@ -213,10 +172,20 @@ PkeySystem::boundKeys() const
 os::AccessResult
 PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
 {
-    if (injector_ != nullptr) {
-        const fault::Perturbation p = injector_->tick();
-        if (p.any() && applyPerturbation(p))
-            return {false, os::FaultKind::Protection};
+    // Protection state lives in the key-permission register file, so
+    // the protection eviction flavor lands there; rights are rederived
+    // from canonical state on the next miss. The flush models key-
+    // register corruption: the whole file is scrubbed and refilled
+    // from the kernel's tables.
+    if (injector_ != nullptr &&
+        mem_.perturb(
+            *this, tlb_, obs::EventKind::KeyEvict,
+            [&](Rng &rng) { keyCache_.evictOne(rng); },
+            [&] {
+                keyCache_.purgeAll();
+                ++keyCorruptions;
+            })) {
+        return {false, os::FaultKind::Protection};
     }
 
     const vm::Vpn vpn = vm::pageOf(va);
@@ -228,8 +197,7 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
     // --- Key-carrying TLB. A same-page run replays the previous
     // reference's TLB and register hits from the memo, counted and
     // touched exactly as the probes would.
-    const bool memo_hit = memo_.valid && memo_.domain == domain &&
-                          memo_.vpn == vpn.number();
+    const bool memo_hit = memoHit(domain, vpn);
     hw::AssocLoc tlb_loc;
     hw::TlbEntry *entry;
     if (memo_hit) {
@@ -237,7 +205,7 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
         tlb_.replayHit(memo_.tlbLoc);
     } else {
         // The refills below may evict the entries the memo points at.
-        memo_.valid = false;
+        dropMemo();
         entry = tlb_.lookup(vpn, 0, &tlb_loc);
     }
     const bool tlb_hit = entry != nullptr;
@@ -279,8 +247,8 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
         // Fills leave their ways unknown, so only a reference that hit
         // both structures memoizes; the next same-page one replays.
         if (tlb_hit && !memo_hit) {
-            memo_ = {true, domain, vpn.number(), entry, tlb_loc, kpr_loc,
-                     rights};
+            memoize(domain, vpn);
+            memo_ = {entry, tlb_loc, kpr_loc, rights};
         }
     } else {
         SASOS_OBS_EVENT(obs::EventKind::KeyMiss,
@@ -300,28 +268,7 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
         return {false, os::FaultKind::Protection};
     }
 
-    const vm::PAddr pa = vm::translate(va, entry->pfn);
-    if (mem_.l1Access(va, pa, store)) {
-        SASOS_OBS_EVENT(obs::EventKind::DCacheHit,
-                        account_.total().count(), va.raw(), store);
-    } else {
-        SASOS_OBS_EVENT(obs::EventKind::DCacheMiss,
-                        account_.total().count(), va.raw(), store);
-        if (auto victim = mem_.fillFromBeyond(va, pa, store)) {
-            SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                            account_.total().count(), va.raw(),
-                            victim->dirty);
-            if (victim->dirty)
-                charge(CostCategory::Reference, config_.costs.writeback);
-        }
-    }
-
-    entry->referenced = true;
-    if (store)
-        entry->dirty = true;
-    state_.pageTable.markReferenced(vpn);
-    if (store)
-        state_.pageTable.markDirty(vpn);
+    mem_.accessPhysical(va, *entry, store, state_.pageTable);
     return {true, os::FaultKind::None};
 }
 
@@ -339,12 +286,9 @@ PkeySystem::dropPageKeyRegisters(os::DomainId domain, vm::Vpn first,
 }
 
 void
-PkeySystem::onAttach(os::DomainId domain, const vm::Segment &seg,
+PkeySystem::doAttach(os::DomainId domain, const vm::Segment &seg,
                      vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     // The key binds lazily at the first refill; if the segment already
     // has one, the grant is a single register write for this domain.
     const auto it = segKey_.find(seg.id);
@@ -357,11 +301,8 @@ PkeySystem::onAttach(os::DomainId domain, const vm::Segment &seg,
 }
 
 void
-PkeySystem::onDetach(os::DomainId domain, const vm::Segment &seg)
+PkeySystem::doDetach(os::DomainId domain, const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const auto it = segKey_.find(seg.id);
     if (it != segKey_.end() && keyCache_.remove(domain, it->second))
         charge(CostCategory::KernelWork, config_.costs.invalidateEntry);
@@ -373,12 +314,9 @@ PkeySystem::onDetach(os::DomainId domain, const vm::Segment &seg)
 }
 
 void
-PkeySystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
+PkeySystem::doSetPageRights(os::DomainId domain, vm::Vpn vpn,
                             vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)rights;
     // The page now has per-page state: give it its own key, then flip
     // this domain's register for it. The hardware carries *effective*
@@ -389,11 +327,8 @@ PkeySystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 }
 
 void
-PkeySystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
+PkeySystem::doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)rights;
     // A global mask narrows every domain's rights on this page: the
     // page gets its own key and every domain's register for it goes;
@@ -406,11 +341,8 @@ PkeySystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 }
 
 void
-PkeySystem::onClearPageRightsAllDomains(vm::Vpn vpn)
+PkeySystem::doClearPageRightsAllDomains(vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const auto it = pageKey_.find(vpn.number());
     if (it == pageKey_.end())
         return;
@@ -424,12 +356,9 @@ PkeySystem::onClearPageRightsAllDomains(vm::Vpn vpn)
 }
 
 void
-PkeySystem::onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
+PkeySystem::doSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
                                vm::Access rights)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     // The headline path: segment-wide revocation (or grant) is one
     // register flip -- no per-page scan, no TLB purge. Pages promoted
     // to their own keys are governed by overrides or masks, except
@@ -443,11 +372,8 @@ PkeySystem::onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
 }
 
 void
-PkeySystem::onDomainSwitch(os::DomainId from, os::DomainId to)
+PkeySystem::doDomainSwitch(os::DomainId from, os::DomainId to)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)from;
     (void)to;
     // Registers are domain-tagged and survive the switch; the TLB is
@@ -456,21 +382,15 @@ PkeySystem::onDomainSwitch(os::DomainId from, os::DomainId to)
 }
 
 void
-PkeySystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
+PkeySystem::doPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     (void)vpn;
     (void)pfn;
 }
 
 void
-PkeySystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
+PkeySystem::doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const u64 dropped = tlb_.purgePage(vpn);
     charge(CostCategory::KernelWork,
            dropped * config_.costs.invalidateEntry);
@@ -478,11 +398,8 @@ PkeySystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 }
 
 void
-PkeySystem::onDomainDestroyed(os::DomainId domain)
+PkeySystem::doDomainDestroyed(os::DomainId domain)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const auto regs = keyCache_.purgeDomain(domain);
     charge(CostCategory::KernelWork,
            regs.scanned * config_.costs.purgeScanEntry +
@@ -490,11 +407,8 @@ PkeySystem::onDomainDestroyed(os::DomainId domain)
 }
 
 void
-PkeySystem::onSegmentDestroyed(const vm::Segment &seg)
+PkeySystem::doSegmentDestroyed(const vm::Segment &seg)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     const auto it = segKey_.find(seg.id);
     if (it != segKey_.end())
         retireKey(it->second);
@@ -510,11 +424,8 @@ PkeySystem::onSegmentDestroyed(const vm::Segment &seg)
 }
 
 bool
-PkeySystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
+PkeySystem::doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     // The denial may have come from a stale register or a stale key
     // tag; drop both so the retry rederives from the tables.
     const auto it = pageKey_.find(vpn.number());
@@ -545,8 +456,8 @@ PkeySystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 }
 
 u64
-PkeySystem::purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
-                        u64 pages)
+PkeySystem::doPurgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                          u64 pages)
 {
     // Key-permission updates ride the same deferred acks, and the
     // same A->B->A collapse applies: a register refilled under a
@@ -556,7 +467,6 @@ PkeySystem::purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
     // TLB entries so stale key tags rederive too.
     (void)domain;
     keyCache_.purgeAll();
-    memo_.valid = false;
     return tlb_.purgeRange(std::nullopt, first, pages).invalidated;
 }
 
@@ -582,11 +492,8 @@ PkeySystem::save(snap::SnapWriter &w) const
 }
 
 void
-PkeySystem::load(snap::SnapReader &r)
+PkeySystem::doLoad(snap::SnapReader &r)
 {
-    // Maintenance may touch entries behind the same-page memo;
-    // drop it (uniform rule for every hook).
-    memo_.valid = false;
     r.expectTag("pkeymodel");
     tlb_.load(r);
     keyCache_.load(r);

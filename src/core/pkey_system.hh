@@ -51,30 +51,8 @@ class PkeySystem : public os::ProtectionModel
     os::AccessResult access(os::DomainId domain, vm::VAddr va,
                             vm::AccessType type) override;
 
-    /** Drop the same-page memo (see ProtectionModel::dropMemo). */
-    void dropMemo() override { memo_.valid = false; }
-
-    void onAttach(os::DomainId domain, const vm::Segment &seg,
-                  vm::Access rights) override;
-    void onDetach(os::DomainId domain, const vm::Segment &seg) override;
-    void onSetPageRights(os::DomainId domain, vm::Vpn vpn,
-                         vm::Access rights) override;
-    void onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override;
-    void onClearPageRightsAllDomains(vm::Vpn vpn) override;
-    void onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
-                            vm::Access rights) override;
-    void onDomainSwitch(os::DomainId from, os::DomainId to) override;
-    void onPageMapped(vm::Vpn vpn, vm::Pfn pfn) override;
-    void onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override;
-    void onDomainDestroyed(os::DomainId domain) override;
-    void onSegmentDestroyed(const vm::Segment &seg) override;
-    bool refreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
     vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
-    u64 purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
-                    u64 pages) override;
-
     void save(snap::SnapWriter &w) const override;
-    void load(snap::SnapReader &r) override;
 
     /** @name Structure access for tests and benches */
     /// @{
@@ -100,6 +78,26 @@ class PkeySystem : public os::ProtectionModel
     stats::Scalar keyCorruptions;
     /// @}
 
+  protected:
+    void doAttach(os::DomainId domain, const vm::Segment &seg,
+                  vm::Access rights) override;
+    void doDetach(os::DomainId domain, const vm::Segment &seg) override;
+    void doSetPageRights(os::DomainId domain, vm::Vpn vpn,
+                         vm::Access rights) override;
+    void doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights) override;
+    void doClearPageRightsAllDomains(vm::Vpn vpn) override;
+    void doSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
+                            vm::Access rights) override;
+    void doDomainSwitch(os::DomainId from, os::DomainId to) override;
+    void doPageMapped(vm::Vpn vpn, vm::Pfn pfn) override;
+    void doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) override;
+    void doDomainDestroyed(os::DomainId domain) override;
+    void doSegmentDestroyed(const vm::Segment &seg) override;
+    bool doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn) override;
+    u64 doPurgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                      u64 pages) override;
+    void doLoad(snap::SnapReader &r) override;
+
   private:
     /** What a key id is bound to. */
     enum class BindKind : u8
@@ -116,10 +114,6 @@ class PkeySystem : public os::ProtectionModel
     };
 
     void charge(CostCategory category, Cycles cycles);
-
-    /** Apply one injected perturbation to this machine's structures.
-     * @return true if the reference must raise a transient fault. */
-    bool applyPerturbation(const fault::Perturbation &p);
 
     /** The key a refill for `vpn` must carry, assigning (and possibly
      * recycling) as needed. */
@@ -147,18 +141,15 @@ class PkeySystem : public os::ProtectionModel
                               u64 pages);
 
     /**
-     * The same-page memo: the previous reference's TLB and register
-     * hits. Every path that may insert, evict or rewrite a TLB entry
-     * or key register drops it first (a probe miss, which precedes
-     * any key binding or recycle, every hook, injected perturbations
-     * and dropMemo()), so a match guarantees `entry`, both
+     * The same-page memo's payload: the previous reference's TLB and
+     * register hits. Every path that may insert, evict or rewrite a
+     * TLB entry or key register drops the memo first (see
+     * ProtectionModel; in access() the probe miss precedes any key
+     * binding or recycle), so a memo hit guarantees `entry`, both
      * replacement locations and `rights` are still live.
      */
     struct SamePageMemo
     {
-        bool valid = false;
-        os::DomainId domain = 0;
-        u64 vpn = 0;
         hw::TlbEntry *entry = nullptr;
         hw::AssocLoc tlbLoc{};
         hw::AssocLoc kprLoc{};

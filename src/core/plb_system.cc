@@ -73,79 +73,50 @@ PlbSystem::refillShift(os::DomainId domain, vm::Vpn vpn,
     return shift;
 }
 
-bool
-PlbSystem::applyPerturbation(const fault::Perturbation &p)
-{
-    // Evictions and flushes below may take the memoized entry.
-    memo_.valid = false;
-    Rng &rng = injector_->rng();
-    if (p.evictProtection) {
-        withEngine([&](auto &engine) { return engine.evictOne(rng); });
-        SASOS_OBS_EVENT(obs::EventKind::PlbEvict, account_.total().count(),
-                        0, 1);
-    }
-    if (p.evictTranslation) {
-        tlb_.evictOne(rng);
-        SASOS_OBS_EVENT(obs::EventKind::TlbEvict, account_.total().count(),
-                        0, 1);
-    }
-    if (p.evictData) {
-        // A displaced dirty line is written back; the data survives,
-        // only its cache residency is lost.
-        if (auto victim = mem_.l1().evictRandomLine(rng); victim &&
-            victim->dirty) {
-            charge(CostCategory::Reference, config_.costs.writeback);
-        }
-        SASOS_OBS_EVENT(obs::EventKind::DCacheEvict,
-                        account_.total().count(), 0, 1);
-    }
-    if (p.flushProtection) {
-        withEngine([](auto &engine) { return engine.purgeAll(); });
-        SASOS_OBS_EVENT(obs::EventKind::ProtectionFlush,
-                        account_.total().count(), 0, 0);
-    }
-    if (p.delayFill)
-        charge(CostCategory::Refill, config_.costs.faultDelay);
-    return p.transientFault;
-}
-
 std::optional<vm::Access>
 PlbSystem::probeProtection(os::DomainId domain, vm::VAddr va)
 {
-    const u64 vpn = vm::pageOf(va).number();
-    if (memo_.valid && memo_.domain == domain && memo_.vpn == vpn) {
+    const vm::Vpn vpn = vm::pageOf(va);
+    if (memoHit(domain, vpn)) {
         // The previous reference hit this page's entry: count and
         // touch it exactly as a probe would, without re-probing.
         if (clplb_ != nullptr)
-            clplb_->replayHit(vpn, memo_.loc);
+            clplb_->replayHit(vpn.number(), memo_.loc);
         else
             plb_->replayHit(memo_.loc);
         return memo_.rights;
     }
     // From here on the memo describes another page, and a refill
     // after a miss may evict the entry it points at.
-    memo_.valid = false;
+    dropMemo();
     hw::AssocLoc loc;
     const auto match = withEngine(
         [&](auto &engine) { return engine.lookup(domain, va, &loc); });
     if (!match)
         return std::nullopt;
-    if (plbPageUniform_)
-        memo_ = {true, domain, vpn, match->rights, loc};
+    if (plbPageUniform_) {
+        memoize(domain, vpn);
+        memo_ = {match->rights, loc};
+    }
     return match->rights;
 }
 
 os::AccessResult
 PlbSystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
 {
-    if (injector_ != nullptr) {
-        const fault::Perturbation p = injector_->tick();
-        if (p.any() && applyPerturbation(p)) {
-            // Transient protection fault: resolved by the kernel like
-            // any stale-entry deny, so the retried reference reaches
-            // the clean run's outcome.
-            return {false, os::FaultKind::Protection};
-        }
+    if (injector_ != nullptr &&
+        mem_.perturb(
+            *this, tlb_, obs::EventKind::PlbEvict,
+            [&](Rng &rng) {
+                withEngine([&](auto &engine) { return engine.evictOne(rng); });
+            },
+            [&] {
+                withEngine([](auto &engine) { return engine.purgeAll(); });
+            })) {
+        // Transient protection fault: resolved by the kernel like any
+        // stale-entry deny, so the retried reference reaches the clean
+        // run's outcome.
+        return {false, os::FaultKind::Protection};
     }
 
     const vm::Vpn vpn = vm::pageOf(va);
@@ -249,7 +220,7 @@ PlbSystem::translateOffChip(vm::Vpn vpn)
 }
 
 void
-PlbSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
+PlbSystem::doAttach(os::DomainId domain, const vm::Segment &seg,
                     vm::Access rights)
 {
     // Nothing: rights are faulted into the PLB lazily, page (or
@@ -257,15 +228,13 @@ PlbSystem::onAttach(os::DomainId domain, const vm::Segment &seg,
     (void)domain;
     (void)seg;
     (void)rights;
-    memo_.valid = false;
 }
 
 void
-PlbSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
+PlbSystem::doDetach(os::DomainId domain, const vm::Segment &seg)
 {
     // Worst case from the paper: inspect every PLB entry and drop
     // those for the (segment, domain) pair.
-    memo_.valid = false;
     const auto result = protPurgeRange(domain, seg.firstPage, seg.pages);
     charge(CostCategory::KernelWork,
            result.scanned * config_.costs.purgeScanEntry +
@@ -273,7 +242,7 @@ PlbSystem::onDetach(os::DomainId domain, const vm::Segment &seg)
 }
 
 void
-PlbSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
+PlbSystem::doSetPageRights(os::DomainId domain, vm::Vpn vpn,
                            vm::Access rights)
 {
     // "Changing a domain's access rights to a page simply requires
@@ -282,7 +251,6 @@ PlbSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
     // carries the *effective* rights (a global mask may narrow the
     // new grant).
     (void)rights;
-    memo_.valid = false;
     const vm::VAddr va = vm::baseOf(vpn);
     const vm::Access effective = state_.effectiveRights(domain, vpn);
     if (auto match = protPeek(domain, va)) {
@@ -300,12 +268,11 @@ PlbSystem::onSetPageRights(os::DomainId domain, vm::Vpn vpn,
 }
 
 void
-PlbSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
+PlbSystem::doSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 {
     // Restricting every domain: intersect any cached entry for the
     // page, whatever domain it belongs to. The cost scales with the
     // PLB size (a scan), as the paper notes for such operations.
-    memo_.valid = false;
     const auto result = withEngine([&](auto &engine) {
         return engine.intersectRightsRange(vpn, 1, rights);
     });
@@ -314,11 +281,10 @@ PlbSystem::onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
 }
 
 void
-PlbSystem::onClearPageRightsAllDomains(vm::Vpn vpn)
+PlbSystem::doClearPageRightsAllDomains(vm::Vpn vpn)
 {
     // Per-domain rights apply again; entries were narrowed, so purge
     // and let refills read the canonical tables.
-    memo_.valid = false;
     const auto result = protPurgeRange(std::nullopt, vpn, 1);
     charge(CostCategory::KernelWork,
            result.scanned * config_.costs.purgeScanEntry +
@@ -326,14 +292,13 @@ PlbSystem::onClearPageRightsAllDomains(vm::Vpn vpn)
 }
 
 void
-PlbSystem::onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
+PlbSystem::doSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
                               vm::Access rights)
 {
     // Inspect each entry, dropping this domain's entries for the
     // segment; refills pick up the new grant (and respect any page
     // overrides, which an in-place blanket update could not).
     (void)rights;
-    memo_.valid = false;
     const auto result = protPurgeRange(domain, seg.firstPage, seg.pages);
     charge(CostCategory::KernelWork,
            result.scanned * config_.costs.purgeScanEntry +
@@ -341,42 +306,37 @@ PlbSystem::onSetSegmentRights(os::DomainId domain, const vm::Segment &seg,
 }
 
 void
-PlbSystem::onDomainSwitch(os::DomainId from, os::DomainId to)
+PlbSystem::doDomainSwitch(os::DomainId from, os::DomainId to)
 {
     // The whole point: a switch writes the PD-ID register, nothing
-    // else. Neither the PLB nor the TLB is purged. The memo is keyed
-    // by domain, but drop it anyway: one uniform rule for every hook.
+    // else. Neither the PLB nor the TLB is purged.
     (void)from;
     (void)to;
-    memo_.valid = false;
     charge(CostCategory::DomainSwitch, config_.costs.registerWrite);
 }
 
 void
-PlbSystem::onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
+PlbSystem::doPageMapped(vm::Vpn vpn, vm::Pfn pfn)
 {
     // Translations are loaded lazily by the off-chip TLB.
     (void)vpn;
     (void)pfn;
-    memo_.valid = false;
 }
 
 void
-PlbSystem::onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
+PlbSystem::doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
 {
     // Purge the translation and flush the page's lines. The PLB is
     // deliberately left alone: a stale entry may still allow the
     // access, but the missing translation faults it (Section 4.1.3).
-    memo_.valid = false;
     tlb_.purgePage(vpn);
     charge(CostCategory::KernelWork, config_.costs.invalidateEntry);
     mem_.flushPage(vpn, pfn);
 }
 
 void
-PlbSystem::onDomainDestroyed(os::DomainId domain)
+PlbSystem::doDomainDestroyed(os::DomainId domain)
 {
-    memo_.valid = false;
     const auto result = withEngine(
         [&](auto &engine) { return engine.purgeDomain(domain); });
     charge(CostCategory::KernelWork,
@@ -385,9 +345,8 @@ PlbSystem::onDomainDestroyed(os::DomainId domain)
 }
 
 void
-PlbSystem::onSegmentDestroyed(const vm::Segment &seg)
+PlbSystem::doSegmentDestroyed(const vm::Segment &seg)
 {
-    memo_.valid = false;
     const auto result =
         protPurgeRange(std::nullopt, seg.firstPage, seg.pages);
     charge(CostCategory::KernelWork,
@@ -396,11 +355,10 @@ PlbSystem::onSegmentDestroyed(const vm::Segment &seg)
 }
 
 bool
-PlbSystem::refreshAfterFault(os::DomainId domain, vm::Vpn vpn)
+PlbSystem::doRefreshAfterFault(os::DomainId domain, vm::Vpn vpn)
 {
     // The canonical tables allow the access, so the PLB holds a stale
     // deny; replace it with a fresh page-grain entry.
-    memo_.valid = false;
     const vm::VAddr va = vm::baseOf(vpn);
     withEngine([&](auto &engine) {
         engine.invalidateCovering(domain, va);
@@ -420,10 +378,9 @@ PlbSystem::cachedRights(os::DomainId domain, vm::Vpn vpn) const
 }
 
 u64
-PlbSystem::purgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
-                       u64 pages)
+PlbSystem::doPurgeForAck(std::optional<os::DomainId> domain, vm::Vpn first,
+                         u64 pages)
 {
-    memo_.valid = false;
     return protPurgeRange(domain, first, pages).invalidated;
 }
 
@@ -445,9 +402,8 @@ PlbSystem::save(snap::SnapWriter &w) const
 }
 
 void
-PlbSystem::load(snap::SnapReader &r)
+PlbSystem::doLoad(snap::SnapReader &r)
 {
-    memo_.valid = false;
     if (clplb_ != nullptr) {
         r.expectTag("clplbmodel");
         clplb_->load(r);
@@ -463,7 +419,6 @@ hw::PurgeResult
 PlbSystem::protPurgeRange(std::optional<hw::DomainId> domain, vm::Vpn first,
                           u64 pages)
 {
-    memo_.valid = false;
     return withEngine([&](auto &engine) {
         return engine.purgeRange(domain, first, pages);
     });

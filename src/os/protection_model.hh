@@ -64,7 +64,16 @@ struct AccessResult
     FaultKind fault = FaultKind::None;
 };
 
-/** Abstract protection architecture. */
+/**
+ * Abstract protection architecture.
+ *
+ * Every entry point that may change what the hardware caches -- the
+ * maintenance hooks, refreshAfterFault, purgeForAck and load -- is a
+ * public non-virtual that drops the same-page memo and then calls the
+ * model's protected do* virtual. So no hook can forget the drop, and
+ * a memo hit in access() never replays an entry a hook rewrote,
+ * evicted or revoked.
+ */
 class ProtectionModel
 {
   public:
@@ -91,41 +100,93 @@ class ProtectionModel
                                 vm::AccessType type) = 0;
 
     /**
-     * Forget the same-page memo. The model's own maintenance hooks,
-     * probe misses, injected perturbations and purgeForAck drop it
-     * internally; anything that mutates hardware structures behind
-     * the model's back -- a test poking a structure directly -- must
-     * call this, so a stale memo can never leak
-     * rights or touch a recycled slot. The default is a no-op for
-     * models without a memo.
+     * Forget the same-page memo. Every entry point below drops it
+     * before the model runs, and access() drops it on a probe miss
+     * and on an injected perturbation; anything that mutates hardware
+     * structures behind the model's back -- a test poking a structure
+     * directly -- must call this, so a stale memo can never leak
+     * rights or touch a recycled slot.
      */
-    virtual void dropMemo() {}
+    void dropMemo() { memoKey_.valid = false; }
 
     /** @name Kernel-driven maintenance hooks
      * Called *after* the kernel has updated the canonical protection
-     * state, so models may re-derive hardware state from it.
+     * state, so models may re-derive hardware state from it. Each
+     * drops the memo, then runs the model's do* override.
      */
     /// @{
-    virtual void onAttach(DomainId domain, const vm::Segment &seg,
-                          vm::Access rights) = 0;
-    virtual void onDetach(DomainId domain, const vm::Segment &seg) = 0;
-    virtual void onSetPageRights(DomainId domain, vm::Vpn vpn,
-                                 vm::Access rights) = 0;
+    void
+    onAttach(DomainId domain, const vm::Segment &seg, vm::Access rights)
+    {
+        dropMemo();
+        doAttach(domain, seg, rights);
+    }
+    void
+    onDetach(DomainId domain, const vm::Segment &seg)
+    {
+        dropMemo();
+        doDetach(domain, seg);
+    }
+    void
+    onSetPageRights(DomainId domain, vm::Vpn vpn, vm::Access rights)
+    {
+        dropMemo();
+        doSetPageRights(domain, vpn, rights);
+    }
     /** A global mask now limits every domain to `rights` on the page
      * (rights == None during paging operations). */
-    virtual void onSetPageRightsAllDomains(vm::Vpn vpn,
-                                           vm::Access rights) = 0;
+    void
+    onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
+    {
+        dropMemo();
+        doSetPageRightsAllDomains(vpn, rights);
+    }
     /** The global mask was lifted; per-domain rights are canonical
      * again (models may purge and refill lazily). */
-    virtual void onClearPageRightsAllDomains(vm::Vpn vpn) = 0;
-    virtual void onSetSegmentRights(DomainId domain, const vm::Segment &seg,
-                                    vm::Access rights) = 0;
-    virtual void onDomainSwitch(DomainId from, DomainId to) = 0;
-    virtual void onPageMapped(vm::Vpn vpn, vm::Pfn pfn) = 0;
+    void
+    onClearPageRightsAllDomains(vm::Vpn vpn)
+    {
+        dropMemo();
+        doClearPageRightsAllDomains(vpn);
+    }
+    void
+    onSetSegmentRights(DomainId domain, const vm::Segment &seg,
+                       vm::Access rights)
+    {
+        dropMemo();
+        doSetSegmentRights(domain, seg, rights);
+    }
+    void
+    onDomainSwitch(DomainId from, DomainId to)
+    {
+        dropMemo();
+        doDomainSwitch(from, to);
+    }
+    void
+    onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
+    {
+        dropMemo();
+        doPageMapped(vpn, pfn);
+    }
     /** Purge translations and flush cached lines for an unmapped page. */
-    virtual void onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) = 0;
-    virtual void onDomainDestroyed(DomainId domain) = 0;
-    virtual void onSegmentDestroyed(const vm::Segment &seg) = 0;
+    void
+    onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
+    {
+        dropMemo();
+        doPageUnmapped(vpn, pfn);
+    }
+    void
+    onDomainDestroyed(DomainId domain)
+    {
+        dropMemo();
+        doDomainDestroyed(domain);
+    }
+    void
+    onSegmentDestroyed(const vm::Segment &seg)
+    {
+        dropMemo();
+        doSegmentDestroyed(seg);
+    }
     /// @}
 
     /**
@@ -135,7 +196,12 @@ class ProtectionModel
      * faulting domain's view). The model repairs its structures and
      * returns true if retrying can succeed.
      */
-    virtual bool refreshAfterFault(DomainId domain, vm::Vpn vpn) = 0;
+    bool
+    refreshAfterFault(DomainId domain, vm::Vpn vpn)
+    {
+        dropMemo();
+        return doRefreshAfterFault(domain, vpn);
+    }
 
     /**
      * The rights the model's cached hardware state grants this domain
@@ -154,21 +220,30 @@ class ProtectionModel
      * [first, first + pages) -- for `domain` only, where the model's
      * tags allow -- before it applies the deferred hook, so no entry
      * refilled under a transient grant outlives the ack. Charges
-     * nothing (the caller charges the dispatch) and drops the
-     * same-page memo. @return entries invalidated.
+     * nothing (the caller charges the dispatch). @return entries
+     * invalidated.
      */
-    virtual u64 purgeForAck(std::optional<DomainId> domain, vm::Vpn first,
-                            u64 pages) = 0;
+    u64
+    purgeForAck(std::optional<DomainId> domain, vm::Vpn first, u64 pages)
+    {
+        dropMemo();
+        return doPurgeForAck(domain, first, pages);
+    }
 
     /** @name Snapshot hooks
      * Serialize the model's cached hardware state (PLB, TLBs,
      * page-group cache, data cache, replacement state). The defaults
      * are no-ops for stateless models; every model owning hardware
-     * structures overrides both.
+     * structures overrides save() and doLoad().
      */
     /// @{
     virtual void save(snap::SnapWriter &w) const { (void)w; }
-    virtual void load(snap::SnapReader &r) { (void)r; }
+    void
+    load(snap::SnapReader &r)
+    {
+        dropMemo();
+        doLoad(r);
+    }
     /// @}
 
     /**
@@ -185,8 +260,61 @@ class ProtectionModel
     fault::FaultInjector *injector() const { return injector_; }
 
   protected:
+    /** @name What each model implements behind the entry points
+     * Table 1 of the paper compares exactly these. */
+    /// @{
+    virtual void doAttach(DomainId domain, const vm::Segment &seg,
+                          vm::Access rights) = 0;
+    virtual void doDetach(DomainId domain, const vm::Segment &seg) = 0;
+    virtual void doSetPageRights(DomainId domain, vm::Vpn vpn,
+                                 vm::Access rights) = 0;
+    virtual void doSetPageRightsAllDomains(vm::Vpn vpn,
+                                           vm::Access rights) = 0;
+    virtual void doClearPageRightsAllDomains(vm::Vpn vpn) = 0;
+    virtual void doSetSegmentRights(DomainId domain, const vm::Segment &seg,
+                                    vm::Access rights) = 0;
+    virtual void doDomainSwitch(DomainId from, DomainId to) = 0;
+    virtual void doPageMapped(vm::Vpn vpn, vm::Pfn pfn) = 0;
+    virtual void doPageUnmapped(vm::Vpn vpn, vm::Pfn pfn) = 0;
+    virtual void doDomainDestroyed(DomainId domain) = 0;
+    virtual void doSegmentDestroyed(const vm::Segment &seg) = 0;
+    virtual bool doRefreshAfterFault(DomainId domain, vm::Vpn vpn) = 0;
+    virtual u64 doPurgeForAck(std::optional<DomainId> domain,
+                              vm::Vpn first, u64 pages) = 0;
+    virtual void doLoad(snap::SnapReader &r) { (void)r; }
+    /// @}
+
+    /** @name The same-page memo's key
+     * The model keeps the payload (entry, replacement locations,
+     * rights); the key says which (domain, page) it resolved and
+     * whether it is live. */
+    /// @{
+    bool
+    memoHit(DomainId domain, vm::Vpn vpn) const
+    {
+        return memoKey_.valid && memoKey_.domain == domain &&
+               memoKey_.vpn == vpn.number();
+    }
+    /** Key the memo to (domain, vpn); the caller sets the payload. */
+    void
+    memoize(DomainId domain, vm::Vpn vpn)
+    {
+        memoKey_ = {true, domain, vpn.number()};
+    }
+    /// @}
+
     /** Fault-injection schedule, or null when injection is off. */
     fault::FaultInjector *injector_ = nullptr;
+
+  private:
+    struct MemoKey
+    {
+        bool valid = false;
+        DomainId domain = 0;
+        u64 vpn = 0;
+    };
+
+    MemoKey memoKey_;
 };
 
 } // namespace sasos::os

@@ -17,17 +17,15 @@
 
 #include <sstream>
 
-#include "core/conventional_system.hh"
+#include "cached_entry.hh"
 #include "core/mc/mc_system.hh"
-#include "core/pagegroup_system.hh"
-#include "core/pkey_system.hh"
-#include "core/plb_system.hh"
 #include "core/system.hh"
 #include "fault/oracle.hh"
 #include "snap/snapio.hh"
 
 using namespace sasos;
 using namespace sasos::core;
+using sasos::test::raiseCachedEntry;
 
 namespace
 {
@@ -55,38 +53,6 @@ compare(const fault::RunOutcome &baseline, const fault::RunOutcome &run,
     fault::compareRun(baseline, run, references, prefix, expected,
                       violations);
     return violations;
-}
-
-/**
- * Raise the rights `model` caches for (domain, vpn) to All through
- * the model's public hardware accessor, as a model that missed a
- * revoke would hold them: the PLB entry, the ASID-tagged TLB entry,
- * the (domain, key) register, or the page-group TLB entry's Rights
- * field. The entry must be cached already (for the page-group model,
- * with `domain` running and its group in the PID cache).
- * @return false when there was nothing cached to raise.
- */
-bool
-raiseCachedEntry(os::ProtectionModel &model, os::DomainId domain,
-                 vm::Vpn vpn)
-{
-    bool raised = false;
-    if (auto *plb = dynamic_cast<PlbSystem *>(&model)) {
-        raised = plb->plb().updateRights(domain, vm::baseOf(vpn),
-                                         vm::Access::All);
-    } else if (auto *conv = dynamic_cast<ConventionalSystem *>(&model)) {
-        raised = conv->tlb().setRights(vpn, vm::Access::All, domain);
-    } else if (auto *pkey = dynamic_cast<PkeySystem *>(&model)) {
-        const hw::TlbEntry *entry = pkey->tlb().peek(vpn);
-        raised = entry != nullptr &&
-                 pkey->keyCache().updateRights(domain, entry->aid,
-                                               vm::Access::All);
-    } else if (auto *pg = dynamic_cast<PageGroupSystem *>(&model)) {
-        raised = pg->cachedRights(domain, vpn) != vm::Access::None &&
-                 pg->tlb().setRights(vpn, vm::Access::All);
-    }
-    model.dropMemo();
-    return raised;
 }
 
 /** A machine with two domains over one four-page segment: `a` (the

@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "cached_entry.hh"
 #include "core/system.hh"
 #include "scenario/runner.hh"
 #include "sim/random.hh"
@@ -74,99 +75,93 @@ constexpr vm::Access kGrantChoices[] = {
 
 } // namespace
 
-class OpSoupTest : public ::testing::TestWithParam<SoupParam>
+namespace
 {
-};
 
-TEST_P(OpSoupTest, SafetyInvariantHoldsUnderRandomOperations)
+/** The soup's oracle check: what the model caches for (domain, vpn)
+ * never exceeds the kernel's canonical rights. */
+::testing::AssertionResult
+hwWithinCanonical(core::System &sys, os::DomainId domain, vm::Vpn vpn)
 {
-    const SoupParam param = GetParam();
-    SystemConfig config = SystemConfig::forModel(param.model);
-    config.purgeTlbOnSwitch = param.purgeOnSwitch;
-    config.superPagePlb = param.superPage;
-    if (!param.superPage)
-        config.plb.sizeShifts = {vm::kPageShift};
-    // Small structures put maximum pressure on refill paths.
-    config.plb.ways = 16;
-    config.tlb.ways = 16;
-    config.pgCache.entries = 4;
-    config.keyCache.entries = 8;
-    config.cache.sizeBytes = 4096;
-    if (param.pkeys != 0)
-        config.pkeys = param.pkeys;
-    core::System sys(config);
-    auto &kernel = sys.kernel();
-    Rng rng(param.seed);
+    const vm::Access hw = sys.model().cachedRights(domain, vpn);
+    const vm::Access canonical = sys.kernel().canonicalRights(domain, vpn);
+    if (vm::includes(canonical, hw))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "hardware over-grants domain " << domain << " page "
+           << vpn.number() << ": hw=" << vm::toString(hw)
+           << " canonical=" << vm::toString(canonical);
+}
 
-    constexpr int kDomains = 4;
-    constexpr int kSegments = 4;
-    constexpr u64 kPagesPerSegment = 8;
+/** A randomized operation soup over one machine with small
+ * structures (maximum pressure on the refill paths): four domains,
+ * four eight-page segments. */
+class Soup
+{
+  public:
+    static constexpr int kDomains = 4;
+    static constexpr int kSegments = 4;
+    static constexpr u64 kPagesPerSegment = 8;
 
-    std::vector<os::DomainId> domains;
-    for (int d = 0; d < kDomains; ++d)
-        domains.push_back(kernel.createDomain("d" + std::to_string(d)));
-
-    std::vector<vm::SegmentId> segments;
-    std::vector<vm::VAddr> bases;
-    for (int s = 0; s < kSegments; ++s) {
-        segments.push_back(
-            kernel.createSegment("s" + std::to_string(s),
-                                 kPagesPerSegment));
-        bases.push_back(
-            sys.state().segments.find(segments[s])->base());
+    explicit Soup(const SoupParam &param)
+        : sys(configFor(param)), rng(param.seed)
+    {
+        auto &kernel = sys.kernel();
+        for (int d = 0; d < kDomains; ++d)
+            domains.push_back(kernel.createDomain("d" + std::to_string(d)));
+        for (int s = 0; s < kSegments; ++s) {
+            segments.push_back(kernel.createSegment(
+                "s" + std::to_string(s), kPagesPerSegment));
+            bases.push_back(
+                sys.state().segments.find(segments[s])->base());
+        }
     }
 
-    auto random_domain = [&] {
-        return domains[rng.nextBelow(domains.size())];
-    };
-    auto random_segment_index = [&] {
-        return static_cast<std::size_t>(rng.nextBelow(segments.size()));
-    };
-    auto random_page = [&](std::size_t s) {
-        return vm::pageOf(bases[s]) + rng.nextBelow(kPagesPerSegment);
-    };
-    auto random_grant = [&] {
-        return kGrantChoices[rng.nextBelow(std::size(kGrantChoices))];
-    };
-
-    u64 completed = 0, denied = 0;
-    for (int op = 0; op < 6000; ++op) {
+    /**
+     * One random kernel operation, or a burst of references whose
+     * outcomes must match the canonical tables exactly (no servers
+     * exist, so faults cannot change rights). Then the oracle check
+     * on a random (domain, page). Fails fatally on a mismatch.
+     */
+    void
+    step(int op)
+    {
+        auto &kernel = sys.kernel();
         switch (rng.nextBelow(10)) {
           case 0: { // attach (re-attach allowed: replaces the grant)
-            kernel.attach(random_domain(),
-                          segments[random_segment_index()],
-                          random_grant());
+            kernel.attach(randomDomain(), segments[randomSegmentIndex()],
+                          randomGrant());
             break;
           }
           case 1: { // detach if attached
-            const os::DomainId d = random_domain();
-            const vm::SegmentId seg = segments[random_segment_index()];
+            const os::DomainId d = randomDomain();
+            const vm::SegmentId seg = segments[randomSegmentIndex()];
             if (sys.state().domain(d).prot.isAttached(seg))
                 kernel.detach(d, seg);
             break;
           }
           case 2: { // per-domain page override
-            kernel.setPageRights(random_domain(),
-                                 random_page(random_segment_index()),
-                                 random_grant());
+            kernel.setPageRights(randomDomain(),
+                                 randomPage(randomSegmentIndex()),
+                                 randomGrant());
             break;
           }
           case 3: { // clear override (if any)
-            const os::DomainId d = random_domain();
-            const vm::Vpn vpn = random_page(random_segment_index());
+            const os::DomainId d = randomDomain();
+            const vm::Vpn vpn = randomPage(randomSegmentIndex());
             if (sys.state().domain(d).prot.hasPageOverride(vpn))
                 kernel.clearPageRights(d, vpn);
             break;
           }
           case 4: { // segment-level rights change (if attached)
-            const os::DomainId d = random_domain();
-            const vm::SegmentId seg = segments[random_segment_index()];
+            const os::DomainId d = randomDomain();
+            const vm::SegmentId seg = segments[randomSegmentIndex()];
             if (sys.state().domain(d).prot.isAttached(seg))
-                kernel.setSegmentRights(d, seg, random_grant());
+                kernel.setSegmentRights(d, seg, randomGrant());
             break;
           }
           case 5: { // restrict / unrestrict a page globally
-            const vm::Vpn vpn = random_page(random_segment_index());
+            const vm::Vpn vpn = randomPage(randomSegmentIndex());
             if (sys.state().hasPageMask(vpn))
                 kernel.unrestrictPage(vpn);
             else
@@ -176,18 +171,18 @@ TEST_P(OpSoupTest, SafetyInvariantHoldsUnderRandomOperations)
             break;
           }
           case 6: { // domain switch
-            kernel.switchTo(random_domain());
+            kernel.switchTo(randomDomain());
             break;
           }
           case 7: { // unmap a mapped page
-            const vm::Vpn vpn = random_page(random_segment_index());
+            const vm::Vpn vpn = randomPage(randomSegmentIndex());
             if (kernel.isMapped(vpn))
                 kernel.unmapPage(vpn);
             break;
           }
           default: { // a burst of references
             for (int r = 0; r < 8; ++r) {
-                const std::size_t s = random_segment_index();
+                const std::size_t s = randomSegmentIndex();
                 const vm::VAddr va =
                     bases[s] +
                     rng.nextBelow(kPagesPerSegment * vm::kPageBytes);
@@ -200,8 +195,6 @@ TEST_P(OpSoupTest, SafetyInvariantHoldsUnderRandomOperations)
                 const vm::Access canonical_before =
                     kernel.canonicalRights(current, vm::pageOf(va));
                 const bool ok = sys.access(va, type);
-                // No servers exist, so faults cannot change rights:
-                // success must match the canonical tables exactly.
                 const bool expected = vm::includes(
                     canonical_before, vm::requiredRight(type));
                 ASSERT_EQ(ok, expected)
@@ -215,23 +208,104 @@ TEST_P(OpSoupTest, SafetyInvariantHoldsUnderRandomOperations)
           }
         }
 
-        // Oracle check on a random sample point.
-        const os::DomainId d = random_domain();
-        const vm::Vpn vpn = random_page(random_segment_index());
-        const vm::Access hw = sys.model().cachedRights(d, vpn);
-        const vm::Access canonical = kernel.canonicalRights(d, vpn);
-        ASSERT_TRUE(vm::includes(canonical, hw))
-            << "hardware over-grants: hw=" << vm::toString(hw)
-            << " canonical=" << vm::toString(canonical);
+        const os::DomainId d = randomDomain();
+        const vm::Vpn vpn = randomPage(randomSegmentIndex());
+        ASSERT_TRUE(hwWithinCanonical(sys, d, vpn)) << "op " << op;
     }
 
+    core::System sys;
+    std::vector<vm::VAddr> bases;
+    u64 completed = 0;
+    u64 denied = 0;
+
+  private:
+    static SystemConfig
+    configFor(const SoupParam &param)
+    {
+        SystemConfig config = SystemConfig::forModel(param.model);
+        config.purgeTlbOnSwitch = param.purgeOnSwitch;
+        config.superPagePlb = param.superPage;
+        if (!param.superPage)
+            config.plb.sizeShifts = {vm::kPageShift};
+        config.plb.ways = 16;
+        config.tlb.ways = 16;
+        config.pgCache.entries = 4;
+        config.keyCache.entries = 8;
+        config.cache.sizeBytes = 4096;
+        if (param.pkeys != 0)
+            config.pkeys = param.pkeys;
+        return config;
+    }
+
+    os::DomainId
+    randomDomain()
+    {
+        return domains[rng.nextBelow(domains.size())];
+    }
+    std::size_t
+    randomSegmentIndex()
+    {
+        return static_cast<std::size_t>(rng.nextBelow(segments.size()));
+    }
+    vm::Vpn
+    randomPage(std::size_t s)
+    {
+        return vm::pageOf(bases[s]) + rng.nextBelow(kPagesPerSegment);
+    }
+    vm::Access
+    randomGrant()
+    {
+        return kGrantChoices[rng.nextBelow(std::size(kGrantChoices))];
+    }
+
+    Rng rng;
+    std::vector<os::DomainId> domains;
+    std::vector<vm::SegmentId> segments;
+};
+
+} // namespace
+
+class OpSoupTest : public ::testing::TestWithParam<SoupParam>
+{
+};
+
+TEST_P(OpSoupTest, SafetyInvariantHoldsUnderRandomOperations)
+{
+    Soup soup(GetParam());
+    for (int op = 0; op < 6000; ++op)
+        ASSERT_NO_FATAL_FAILURE(soup.step(op));
+
     // The soup must genuinely exercise both outcomes.
-    EXPECT_GT(completed, 100u);
-    EXPECT_GT(denied, 100u);
+    EXPECT_GT(soup.completed, 100u);
+    EXPECT_GT(soup.denied, 100u);
 
     // Frames conserved: every mapped page holds exactly one frame.
-    EXPECT_EQ(sys.state().frameAllocator.inUse(),
-              sys.state().pageTable.size());
+    EXPECT_EQ(soup.sys.state().frameAllocator.inUse(),
+              soup.sys.state().pageTable.size());
+}
+
+TEST_P(OpSoupTest, HwCheckFlagsARaisedEntry)
+{
+    // Halfway through the soup, cache a read-only grant for the
+    // running domain and raise that one entry to All, as a model that
+    // missed a revoke would hold it: the soup's check must report it.
+    Soup soup(GetParam());
+    for (int op = 0; op < 3000; ++op)
+        ASSERT_NO_FATAL_FAILURE(soup.step(op));
+
+    core::System &sys = soup.sys;
+    auto &kernel = sys.kernel();
+    const os::DomainId d = kernel.currentDomain();
+    const vm::Vpn vpn = vm::pageOf(soup.bases[0]);
+    if (sys.state().hasPageMask(vpn))
+        kernel.unrestrictPage(vpn);
+    kernel.setPageRights(d, vpn, vm::Access::Read);
+    ASSERT_EQ(kernel.canonicalRights(d, vpn), vm::Access::Read);
+    ASSERT_TRUE(sys.load(vm::baseOf(vpn)));
+    EXPECT_TRUE(hwWithinCanonical(sys, d, vpn));
+
+    ASSERT_TRUE(test::raiseCachedEntry(sys.model(), d, vpn));
+    EXPECT_FALSE(hwWithinCanonical(sys, d, vpn));
 }
 
 TEST_P(OpSoupTest, DeterministicCycleTotals)

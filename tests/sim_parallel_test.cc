@@ -11,15 +11,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "bench_common.hh"
+#include "cached_entry.hh"
 #include "sim/parallel.hh"
 #include "farm/campaign.hh"
 #include "obs/tracer.hh"
+#include "snap/snapio.hh"
 #include "workload/address_stream.hh"
 
 using namespace sasos;
@@ -279,11 +282,13 @@ struct TwinSystems
         sys.kernel().attach(app, seg, vm::Access::ReadWrite);
         sys.kernel().switchTo(app);
         base = sys.state().segments.find(seg)->base();
+        heap = seg;
     }
 
     core::System perCall;
     core::System viaRun;
     vm::VAddr base;
+    vm::SegmentId heap = 0;
 };
 
 /** Zipf loads over a cold 64-page heap (demand-map translation faults
@@ -653,13 +658,158 @@ TEST_P(BatchedRunTest, DetachReachesAWarmMemo)
     EXPECT_EQ(dumpOf(via_run), dumpOf(per_call));
 }
 
+namespace
+{
+
+/** The warm memo an entry-point row must reach: the running domain's
+ * hit on the heap's first page. */
+struct MemoTarget
+{
+    os::DomainId app;
+    vm::SegmentId heap;
+    vm::Vpn page;
+};
+
+/** One operation that reaches a model entry point, applied to one
+ * twin; `type` is the kind of reference that warms the memo before it
+ * and follows it. */
+struct EntryPointRow
+{
+    const char *name;
+    vm::AccessType type;
+    std::function<void(core::System &, const MemoTarget &)> op;
+};
+
+const std::vector<EntryPointRow> &
+entryPointRows()
+{
+    using Op = std::function<void(core::System &, const MemoTarget &)>;
+    constexpr vm::AccessType kLoad = vm::AccessType::Load;
+    constexpr vm::AccessType kStore = vm::AccessType::Store;
+    static const std::vector<EntryPointRow> rows = {
+        {"attach raising the union", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             const os::DomainId other = sys.kernel().createDomain("other");
+             sys.kernel().attach(other, t.heap, vm::Access::All);
+         })},
+        {"detach", kLoad,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().detach(t.app, t.heap);
+         })},
+        {"setPageRights", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().setPageRights(t.app, t.page, vm::Access::Read);
+         })},
+        {"setSegmentRights", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().setSegmentRights(t.app, t.heap, vm::Access::Read);
+         })},
+        {"restrictPage", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().restrictPage(t.page, vm::Access::Read);
+         })},
+        // Re-warm the memo under the mask, then lift it.
+        {"unrestrictPage", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().restrictPage(t.page, vm::Access::Read);
+             EXPECT_TRUE(sys.load(vm::baseOf(t.page)));
+             EXPECT_TRUE(sys.load(vm::baseOf(t.page)));
+             sys.kernel().unrestrictPage(t.page);
+         })},
+        {"unmapPage", kLoad,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().unmapPage(t.page);
+         })},
+        {"pager page-out", kLoad,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.makePager({}).pageOut(t.page);
+         })},
+        {"pager page-in", kLoad,
+         Op([](core::System &sys, const MemoTarget &t) {
+             os::Pager &pager = sys.makePager({});
+             pager.pageOut(t.page);
+             pager.pageIn(t.page);
+         })},
+        {"fork with copy-on-write", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             const os::DomainId child = sys.kernel().createDomain("child");
+             sys.kernel().forkSegmentCow(t.heap, child,
+                                         vm::Access::ReadWrite, "child");
+         })},
+        {"destroyDomain", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             const os::DomainId other = sys.kernel().createDomain("other");
+             sys.kernel().attach(other, t.heap, vm::Access::Read);
+             sys.kernel().destroyDomain(other);
+         })},
+        {"destroySegment", kLoad,
+         Op([](core::System &sys, const MemoTarget &t) {
+             sys.kernel().destroySegment(t.heap);
+         })},
+        {"domain switch and back", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             const os::DomainId other = sys.kernel().createDomain("other");
+             sys.kernel().switchTo(other);
+             sys.kernel().switchTo(t.app);
+         })},
+        // A stale read-only entry: the next store is denied in
+        // hardware, granted by the tables, and repaired through
+        // refreshAfterFault.
+        {"denied reference repaired by refreshAfterFault", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             EXPECT_TRUE(test::setCachedRights(sys.model(), t.app, t.page,
+                                               vm::Access::Read));
+         })},
+        // Save, revoke the write right and re-warm the memo under it,
+        // then load the image, which grants it again.
+        {"save/load round trip", kStore,
+         Op([](core::System &sys, const MemoTarget &t) {
+             snap::SnapWriter w;
+             sys.save(w);
+             std::vector<u8> image = std::move(w).seal();
+             sys.kernel().setPageRights(t.app, t.page, vm::Access::Read);
+             EXPECT_TRUE(sys.load(vm::baseOf(t.page)));
+             EXPECT_TRUE(sys.load(vm::baseOf(t.page)));
+             snap::SnapReader r(std::move(image));
+             sys.load(r);
+         })},
+    };
+    return rows;
+}
+
+} // namespace
+
+TEST_P(BatchedRunTest, EveryEntryPointReachesAWarmMemo)
+{
+    // Warm the memo with same-page references, run one operation on
+    // both twins, then reference the page again. A memo that survived
+    // the entry point would replay an entry the operation revoked,
+    // evicted or rewrote -- completing a reference the tables forbid,
+    // or counting a hit where the memo-free twin misses -- so the run
+    // twin's events or stats would leave the memo-free twin's.
+    for (const EntryPointRow &row : entryPointRows()) {
+        SCOPED_TRACE(row.name);
+        TwinSystems twins(GetParam());
+        const MemoTarget target{twins.viaRun.kernel().currentDomain(),
+                                twins.heap, vm::pageOf(twins.base)};
+        const std::vector<vm::VAddr> same_page(64, twins.base);
+        expectTwinsMatch(twins, same_page, row.type);
+        const auto run_events =
+            eventsOf([&] { row.op(twins.viaRun, target); });
+        const auto per_call_events =
+            eventsOf([&] { row.op(twins.perCall, target); });
+        expectSameEvents(run_events, per_call_events);
+        expectTwinsMatch(twins, same_page, row.type);
+    }
+}
+
 TEST_P(BatchedRunTest, DirectPurgePlusMemoInvalidateStaysIdentical)
 {
-    // The multi-core ack path purges a core's structures directly
-    // (no kernel hook runs) and then calls dropMemo(). Mirror that
-    // sequence on both twins: after the purge the next run must
-    // re-probe and refill exactly like the memo-free twin instead of
-    // replaying the pre-purge resolution from the memo.
+    // A structure poked from outside the model (no entry point runs)
+    // must be followed by dropMemo(). Do that on both twins: after the
+    // purge the next run must re-probe and refill exactly like the
+    // memo-free twin instead of replaying the pre-purge resolution
+    // from the memo.
     TwinSystems twins(GetParam());
     const std::vector<vm::VAddr> warm(64, twins.base);
     expectTwinsMatch(twins, warm, vm::AccessType::Load);
