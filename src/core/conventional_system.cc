@@ -76,7 +76,7 @@ ConventionalSystem::access(os::DomainId domain, vm::VAddr va,
             memoize(domain, vpn);
             memo_ = {entry, loc};
         } else {
-            dropMemo();
+            forgetMemo();
         }
     }
     if (entry == nullptr) {

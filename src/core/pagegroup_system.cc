@@ -37,7 +37,7 @@ PageGroupSystem::PageGroupSystem(const SystemConfig &config,
     // any PID still cached for it must go (and with it any same-page
     // memo that could be replaying the stale group).
     manager_.onGroupFreed = [this](os::GroupId aid) {
-        dropMemo();
+        forgetMemo();
         pgCache_.remove(aid);
     };
 }
@@ -83,7 +83,7 @@ PageGroupSystem::access(os::DomainId domain, vm::VAddr va,
         tlb_.replayHit(memo_.tlbLoc);
     } else {
         // The refills below may evict the entries the memo points at.
-        dropMemo();
+        forgetMemo();
         entry = tlb_.lookup(vpn, 0, &tlb_loc);
     }
     const bool tlb_hit = entry != nullptr;

@@ -69,6 +69,13 @@ PerCoreModels::core(unsigned index)
     return *cores_[index];
 }
 
+void
+PerCoreModels::dropMemo()
+{
+    for (auto &model : cores_)
+        model->dropMemo();
+}
+
 os::AccessResult
 PerCoreModels::access(os::DomainId domain, vm::VAddr va,
                       vm::AccessType type)

@@ -81,6 +81,9 @@ class PerCoreModels : public os::ProtectionModel
 
     vm::Access cachedRights(os::DomainId domain, vm::Vpn vpn) const override;
 
+    /** The fan-out keeps no memo of its own: drop every core's. */
+    void dropMemo() override;
+
   protected:
     void doAttach(os::DomainId domain, const vm::Segment &seg,
                   vm::Access rights) override;

@@ -205,7 +205,7 @@ PkeySystem::access(os::DomainId domain, vm::VAddr va, vm::AccessType type)
         tlb_.replayHit(memo_.tlbLoc);
     } else {
         // The refills below may evict the entries the memo points at.
-        dropMemo();
+        forgetMemo();
         entry = tlb_.lookup(vpn, 0, &tlb_loc);
     }
     const bool tlb_hit = entry != nullptr;

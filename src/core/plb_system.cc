@@ -88,7 +88,7 @@ PlbSystem::probeProtection(os::DomainId domain, vm::VAddr va)
     }
     // From here on the memo describes another page, and a refill
     // after a miss may evict the entry it points at.
-    dropMemo();
+    forgetMemo();
     hw::AssocLoc loc;
     const auto match = withEngine(
         [&](auto &engine) { return engine.lookup(domain, va, &loc); });

@@ -19,10 +19,13 @@
  * (set, tag) to slot number, so lookup, probe, insert and invalidate
  * cost O(1) host time instead of a scan of up to 512 tags, plus a
  * per-set valid count so a full set goes straight to its victim.
- * The index holds slot numbers only; tags stay in the SoA lane, and
- * deletion uses backward shift, so no tombstones build up. Narrow
- * sets keep the plain linear probe, which is also the reference the
- * index is tested against. Neither changes any simulated result.
+ * The index is sparse -- kIndexSlack buckets per slot -- because a
+ * refill walks it four times and misses on random keys dominate
+ * when a workload overflows the structure's reach. It holds slot
+ * numbers only; tags stay in the SoA lane, and deletion uses backward
+ * shift, so no tombstones build up. Narrow sets keep the plain linear
+ * probe, which is also the reference the index is tested against.
+ * Neither changes any simulated result.
  *
  * Purge operations report how many entries were *scanned* as well as
  * how many were invalidated, because the paper's cost arguments
@@ -109,8 +112,10 @@ class AssocCache
         SASOS_ASSERT(sets > 0 && ways > 0, "degenerate cache geometry");
         if (indexed_) {
             SASOS_ASSERT(valid_.size() < kEmpty, "cache too large to index");
-            // At most half full, so probe runs stay short.
-            const std::size_t buckets = std::bit_ceil(2 * valid_.size());
+            // Only host-side slot numbers live here, so the size moves
+            // no simulated result.
+            const std::size_t buckets =
+                std::bit_ceil(kIndexSlack * valid_.size());
             index_.assign(buckets, kEmpty);
             indexShift_ = 64 - std::countr_zero(buckets);
             setValid_.assign(sets, 0);
@@ -408,6 +413,10 @@ class AssocCache
     static constexpr std::size_t kNoWay = static_cast<std::size_t>(-1);
     /** An unused index bucket. */
     static constexpr u32 kEmpty = static_cast<u32>(-1);
+    /** Index buckets per slot: a refill walks the index four times
+     * (duplicate check, miss, erase, insert), and at this load a
+     * random-key walk averages about one bucket. */
+    static constexpr std::size_t kIndexSlack = 16;
 
     /** The tight probe: the index on wide sets, else a dense valid/tag
      * scan; no payload traffic either way. */

@@ -41,6 +41,8 @@ DataCache::DataCache(const DataCacheConfig &config, stats::Group *parent,
                              : 0.0;
               }),
       config_(config),
+      lineShift_(std::countr_zero(config.lineBytes)),
+      setMask_(config.sets() - 1),
       array_(config.sets(), config.ways, config.policy, config.seed)
 {
     SASOS_ASSERT(std::has_single_bit(config.lineBytes), "line size not 2^k");
@@ -53,7 +55,7 @@ std::size_t
 DataCache::indexOf(u64 vline, u64 pline) const
 {
     const u64 line = config_.org == CacheOrg::Pipt ? pline : vline;
-    return static_cast<std::size_t>(line & (config_.sets() - 1));
+    return static_cast<std::size_t>(line & setMask_);
 }
 
 u64
@@ -117,19 +119,18 @@ DataCache::flushPage(vm::Vpn vpn, std::optional<vm::Pfn> pfn)
     // The set index comes from the physical line on Pipt, the virtual
     // line otherwise.
     const u64 page = pipt ? pfn->number() : vpn.number();
-    const u64 lines_per_page = vm::kPageBytes / config_.lineBytes;
-    const u64 first_line = (page << vm::kPageShift) / config_.lineBytes;
+    const u64 lines_per_page = vm::kPageBytes >> lineShift_;
+    const u64 first_line = (page << vm::kPageShift) >> lineShift_;
     FlushResult result;
     result.lineAccesses = lines_per_page;
 
     // Both counts are powers of two, so the page's lines fill a
     // contiguous, non-wrapping run of sets (every set when the page
     // has more lines than the cache has sets).
-    const u64 sets = config_.sets();
     std::array<u64, vm::kPageBytes / 64> seen{}; // a bit per page line
     array_.invalidateInSets(
-        static_cast<std::size_t>(first_line & (sets - 1)),
-        static_cast<std::size_t>(std::min(lines_per_page, sets)),
+        static_cast<std::size_t>(first_line & setMask_),
+        static_cast<std::size_t>(std::min(lines_per_page, setMask_ + 1)),
         [&](u64 tag, const LineState &line) {
             // Tags are the indexing line for Vivt and Pipt; Vipt tags
             // are physical, so match its stored virtual line.

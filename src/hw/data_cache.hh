@@ -161,13 +161,17 @@ class DataCache
         u64 pline = 0;
     };
 
-    u64 vlineOf(vm::VAddr va) const { return va.raw() / config_.lineBytes; }
-    u64 plineOf(vm::PAddr pa) const { return pa.raw() / config_.lineBytes; }
+    u64 vlineOf(vm::VAddr va) const { return va.raw() >> lineShift_; }
+    u64 plineOf(vm::PAddr pa) const { return pa.raw() >> lineShift_; }
 
     std::size_t indexOf(u64 vline, u64 pline) const;
     u64 tagOf(u64 vline, u64 pline) const;
 
     DataCacheConfig config_;
+    /** log2(lineBytes) and sets - 1: both counts are powers of two,
+     * so the per-reference line and set arithmetic needs no divide. */
+    int lineShift_;
+    u64 setMask_;
     AssocCache<u64, LineState> array_;
 };
 

@@ -105,9 +105,10 @@ class ProtectionModel
      * and on an injected perturbation; anything that mutates hardware
      * structures behind the model's back -- a test poking a structure
      * directly -- must call this, so a stale memo can never leak
-     * rights or touch a recycled slot.
+     * rights or touch a recycled slot. A multiprocessor fan-out
+     * forwards it to every core's model.
      */
-    void dropMemo() { memoKey_.valid = false; }
+    virtual void dropMemo() { forgetMemo(); }
 
     /** @name Kernel-driven maintenance hooks
      * Called *after* the kernel has updated the canonical protection
@@ -118,19 +119,19 @@ class ProtectionModel
     void
     onAttach(DomainId domain, const vm::Segment &seg, vm::Access rights)
     {
-        dropMemo();
+        forgetMemo();
         doAttach(domain, seg, rights);
     }
     void
     onDetach(DomainId domain, const vm::Segment &seg)
     {
-        dropMemo();
+        forgetMemo();
         doDetach(domain, seg);
     }
     void
     onSetPageRights(DomainId domain, vm::Vpn vpn, vm::Access rights)
     {
-        dropMemo();
+        forgetMemo();
         doSetPageRights(domain, vpn, rights);
     }
     /** A global mask now limits every domain to `rights` on the page
@@ -138,7 +139,7 @@ class ProtectionModel
     void
     onSetPageRightsAllDomains(vm::Vpn vpn, vm::Access rights)
     {
-        dropMemo();
+        forgetMemo();
         doSetPageRightsAllDomains(vpn, rights);
     }
     /** The global mask was lifted; per-domain rights are canonical
@@ -146,45 +147,45 @@ class ProtectionModel
     void
     onClearPageRightsAllDomains(vm::Vpn vpn)
     {
-        dropMemo();
+        forgetMemo();
         doClearPageRightsAllDomains(vpn);
     }
     void
     onSetSegmentRights(DomainId domain, const vm::Segment &seg,
                        vm::Access rights)
     {
-        dropMemo();
+        forgetMemo();
         doSetSegmentRights(domain, seg, rights);
     }
     void
     onDomainSwitch(DomainId from, DomainId to)
     {
-        dropMemo();
+        forgetMemo();
         doDomainSwitch(from, to);
     }
     void
     onPageMapped(vm::Vpn vpn, vm::Pfn pfn)
     {
-        dropMemo();
+        forgetMemo();
         doPageMapped(vpn, pfn);
     }
     /** Purge translations and flush cached lines for an unmapped page. */
     void
     onPageUnmapped(vm::Vpn vpn, vm::Pfn pfn)
     {
-        dropMemo();
+        forgetMemo();
         doPageUnmapped(vpn, pfn);
     }
     void
     onDomainDestroyed(DomainId domain)
     {
-        dropMemo();
+        forgetMemo();
         doDomainDestroyed(domain);
     }
     void
     onSegmentDestroyed(const vm::Segment &seg)
     {
-        dropMemo();
+        forgetMemo();
         doSegmentDestroyed(seg);
     }
     /// @}
@@ -199,7 +200,7 @@ class ProtectionModel
     bool
     refreshAfterFault(DomainId domain, vm::Vpn vpn)
     {
-        dropMemo();
+        forgetMemo();
         return doRefreshAfterFault(domain, vpn);
     }
 
@@ -226,7 +227,7 @@ class ProtectionModel
     u64
     purgeForAck(std::optional<DomainId> domain, vm::Vpn first, u64 pages)
     {
-        dropMemo();
+        forgetMemo();
         return doPurgeForAck(domain, first, pages);
     }
 
@@ -241,7 +242,7 @@ class ProtectionModel
     void
     load(snap::SnapReader &r)
     {
-        dropMemo();
+        forgetMemo();
         doLoad(r);
     }
     /// @}
@@ -301,6 +302,9 @@ class ProtectionModel
     {
         memoKey_ = {true, domain, vpn.number()};
     }
+    /** Drop this model's own memo key; unlike dropMemo(), never
+     * forwarded. */
+    void forgetMemo() { memoKey_.valid = false; }
     /// @}
 
     /** Fault-injection schedule, or null when injection is off. */

@@ -1,6 +1,7 @@
 #include "sim/random.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -119,16 +120,38 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double theta)
     }
     for (auto &value : cdf_)
         value /= sum;
+
+    // One merged pass over the bucket edges and the CDF: guide_[k] is
+    // lower_bound(k/K), found without a search per bucket.
+    SASOS_ASSERT(n <= static_cast<u32>(-1), "Zipf domain too large to guide");
+    const std::size_t buckets = std::bit_ceil(n);
+    guide_.resize(buckets + 1);
+    std::size_t rank = 0;
+    for (std::size_t k = 0; k <= buckets; ++k) {
+        const double edge =
+            static_cast<double>(k) / static_cast<double>(buckets);
+        while (rank < n && cdf_[rank] < edge)
+            ++rank;
+        guide_[k] = static_cast<u32>(rank);
+    }
 }
 
 std::size_t
-ZipfDistribution::operator()(Rng &rng) const
+ZipfDistribution::draw(double u) const
 {
-    const double u = rng.nextReal();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        return cdf_.size() - 1;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    // u in [k/K, (k+1)/K) has its rank in [guide_[k], guide_[k+1]], and
+    // lower_bound over that run yields guide_[k+1] when no value in
+    // [guide_[k], guide_[k+1]) reaches u. u = 1 joins the last bucket.
+    const std::size_t buckets = guide_.size() - 1;
+    const std::size_t k = std::min(
+        static_cast<std::size_t>(u * static_cast<double>(buckets)),
+        buckets - 1);
+    const double *first = cdf_.data() + guide_[k];
+    const double *end = cdf_.data() + guide_[k + 1];
+    const std::size_t rank =
+        static_cast<std::size_t>(std::lower_bound(first, end, u) -
+                                 cdf_.data());
+    return std::min(rank, cdf_.size() - 1);
 }
 
 GeometricDistribution::GeometricDistribution(double p)

@@ -70,21 +70,35 @@ class Rng
  * Zipf distribution over {0, ..., n-1} with skew theta.
  *
  * theta = 0 is uniform; larger theta concentrates probability on low
- * ranks. Implemented with a precomputed CDF and binary search, which
- * is exact and fast for the n (up to a few million pages) used by the
- * workload generators.
+ * ranks. Implemented as an inversion of a precomputed CDF: a draw u
+ * maps to the first rank whose CDF value is at least u. A Chen-Asau
+ * guide table of K = bit_ceil(n) buckets holds, for each k, the first
+ * rank whose CDF reaches k/K, so a draw binary-searches only the
+ * ranks between its bucket's two edges. K is a power of two, so u*K
+ * and k/K are exact and the guided search returns the same rank as a
+ * search of the whole CDF, for every u.
  */
 class ZipfDistribution
 {
   public:
     ZipfDistribution(std::size_t n, double theta);
 
-    std::size_t operator()(Rng &rng) const;
+    std::size_t operator()(Rng &rng) const { return draw(rng.nextReal()); }
+
+    /** The rank a uniform u in [0, 1] maps to: std::lower_bound of u
+     * over the CDF, clamped to n-1 past its end. */
+    std::size_t draw(double u) const;
 
     std::size_t size() const { return cdf_.size(); }
 
+    /** The cumulative probabilities, one per rank, ending at 1. */
+    const std::vector<double> &cdf() const { return cdf_; }
+
   private:
     std::vector<double> cdf_;
+    /** guide_[k]: the first rank whose CDF value is >= k/K, for k in
+     * [0, K]; n when none is. */
+    std::vector<u32> guide_;
 };
 
 /** Geometric distribution: number of failures before first success. */

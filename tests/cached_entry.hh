@@ -19,17 +19,17 @@ namespace sasos::test
 {
 
 /**
- * Set the rights `model` caches for (domain, vpn) through the model's
- * public hardware accessor: the PLB entry, the conventional TLB entry,
- * the (domain, key) register, or the page-group TLB entry's Rights
- * field. The entry must be cached already (for the page-group model,
- * with `domain` running and its group in the PID cache). Drops the
- * same-page memo, as every structure poke must.
+ * Overwrite the rights `model` caches for (domain, vpn) through the
+ * model's public hardware accessor: the PLB entry, the conventional
+ * TLB entry, the (domain, key) register, or the page-group TLB
+ * entry's Rights field. The entry must be cached already (for the
+ * page-group model, with `domain` running and its group in the PID
+ * cache). Leaves the same-page memo alone: the caller must drop it.
  * @return false when there was nothing cached to overwrite.
  */
 inline bool
-setCachedRights(os::ProtectionModel &model, os::DomainId domain,
-                vm::Vpn vpn, vm::Access rights)
+pokeCachedRights(os::ProtectionModel &model, os::DomainId domain,
+                 vm::Vpn vpn, vm::Access rights)
 {
     bool set = false;
     if (auto *plb = dynamic_cast<core::PlbSystem *>(&model)) {
@@ -47,6 +47,16 @@ setCachedRights(os::ProtectionModel &model, os::DomainId domain,
         set = pg->cachedRights(domain, vpn) != vm::Access::None &&
               pg->tlb().setRights(vpn, rights);
     }
+    return set;
+}
+
+/** pokeCachedRights, then drop the same-page memo, as every structure
+ * poke must. */
+inline bool
+setCachedRights(os::ProtectionModel &model, os::DomainId domain,
+                vm::Vpn vpn, vm::Access rights)
+{
+    const bool set = pokeCachedRights(model, domain, vpn, rights);
     model.dropMemo();
     return set;
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cached_entry.hh"
 #include "core/smp.hh"
 #include "sim/random.hh"
 #include "workload/dvm.hh"
@@ -129,6 +130,23 @@ TEST_P(SmpTest, DomainSwitchIsLocalToItsCpu)
     const u64 shootdowns_before = sys_.shootdowns.value();
     sys_.runOn(0, nodes_[1]); // switch on CPU 0 only
     EXPECT_EQ(sys_.shootdowns.value(), shootdowns_before);
+}
+
+TEST_P(SmpTest, FanOutDropMemoReachesEveryCpu)
+{
+    // CPU 1's second store is a same-page memo hit. Lower its cached
+    // rights behind the model's back, drop the memo through the
+    // fan-out, and the next store must probe the lowered entry and
+    // fault, not replay the memo's stale grant.
+    sys_.runOn(1, nodes_[1]);
+    ASSERT_TRUE(sys_.store(base_));
+    ASSERT_TRUE(sys_.store(base_));
+    ASSERT_TRUE(test::pokeCachedRights(sys_.models().core(1), nodes_[1],
+                                       vm::pageOf(base_), vm::Access::Read));
+    sys_.models().dropMemo();
+    const u64 faults = sys_.kernel().protectionFaults.value();
+    EXPECT_TRUE(sys_.store(base_)); // the kernel repairs the stale deny
+    EXPECT_EQ(sys_.kernel().protectionFaults.value(), faults + 1);
 }
 
 TEST_P(SmpTest, SafetyInvariantAcrossCpus)

@@ -494,34 +494,37 @@ loadInto(SoupCache &cache, const std::vector<u8> &image)
     r.finish();
 }
 
-using SoupParam = std::tuple<std::size_t, PolicyKind>;
-
-class AssocCacheSoupTest : public ::testing::TestWithParam<SoupParam>
+/**
+ * Drive an AssocCache and the naive model through one random op soup
+ * and compare them after every op. A tag space half again the ways
+ * keeps sets full and evicting. Purges and save/load take a small
+ * share of the ops, which wide geometries spend mostly on save/load,
+ * so their sets still fill up between purges. Dense tags are the
+ * values [0, tag space); sparse ones are that many random 64-bit
+ * values, so the index's home buckets scatter and its probe runs can
+ * wrap its end.
+ */
+void
+runSoup(std::size_t sets, std::size_t ways, PolicyKind kind, bool sparse)
 {
-};
-
-} // namespace
-
-TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
-{
-    const auto [ways, kind] = GetParam();
-    // Two sets, so the index must tell a tag in one set from the same
-    // tag in the other; a tag space half again the ways keeps sets
-    // full and evicting. Purges and save/load take a small share of
-    // the ops, which wide geometries spend mostly on save/load, so
-    // their sets still fill up between purges.
-    constexpr std::size_t kSets = 2;
     constexpr u64 kSeed = 77;
     const u64 tag_space = ways + ways / 2 + 1;
-    auto cache = std::make_unique<SoupCache>(kSets, ways, kind, kSeed);
-    NaiveCache model(kSets, ways, kind, kSeed);
+    std::vector<u64> sparse_tags;
+    if (sparse) {
+        Rng tag_rng(2000 + ways);
+        while (sparse_tags.size() < tag_space)
+            sparse_tags.push_back(tag_rng.next());
+    }
+    auto cache = std::make_unique<SoupCache>(sets, ways, kind, kSeed);
+    NaiveCache model(sets, ways, kind, kSeed);
     Rng rng(1000 + ways * 8 + static_cast<u64>(kind));
     const int ops = 6000 + static_cast<int>(ways) * 40;
     int evictions = 0;
 
     for (int op = 0; op < ops; ++op) {
-        const std::size_t set = rng.nextBelow(kSets);
-        const u64 tag = rng.nextBelow(tag_space);
+        const std::size_t set = rng.nextBelow(sets);
+        const u64 drawn = rng.nextBelow(tag_space);
+        const u64 tag = sparse ? sparse_tags[drawn] : drawn;
         const long way = model.find(set, tag);
         const u64 roll = rng.nextBelow(1000);
         SCOPED_TRACE("op " + std::to_string(op));
@@ -576,8 +579,8 @@ TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
             ASSERT_EQ(result.scanned, model.capacity());
             ASSERT_EQ(result.invalidated, invalidated);
         } else if (rare == 3) {
-            const std::size_t first = rng.nextBelow(kSets + 1);
-            const std::size_t count = rng.nextBelow(kSets - first + 1);
+            const std::size_t first = rng.nextBelow(sets + 1);
+            const std::size_t count = rng.nextBelow(sets - first + 1);
             const u64 mod = 2 + rng.nextBelow(4);
             const u64 dropped = cache->invalidateInSets(
                 first, count, [&](u64 t, const u64 &) { return t % mod == 0; });
@@ -610,13 +613,38 @@ TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
             // Save, then carry on in a fresh cache loaded from it.
             const std::vector<u8> image = imageOf(*cache);
             ASSERT_EQ(image, model.image());
-            cache = std::make_unique<SoupCache>(kSets, ways, kind, kSeed);
+            cache = std::make_unique<SoupCache>(sets, ways, kind, kSeed);
             loadInto(*cache, image);
         }
         ASSERT_EQ(cache->occupancy(), model.occupancy());
     }
     EXPECT_EQ(imageOf(*cache), model.image());
     EXPECT_GT(evictions, ops / 25) << "the soup must exercise victims";
+}
+
+using SoupParam = std::tuple<std::size_t, PolicyKind>;
+
+class AssocCacheSoupTest : public ::testing::TestWithParam<SoupParam>
+{
+};
+
+/** ((sets, ways), policy) of a sparse-tag soup. */
+using SparseSoupParam =
+    std::tuple<std::pair<std::size_t, std::size_t>, PolicyKind>;
+
+class AssocCacheSparseSoupTest
+    : public ::testing::TestWithParam<SparseSoupParam>
+{
+};
+
+} // namespace
+
+TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
+{
+    // Two sets, so the index must tell a tag in one set from the same
+    // tag in the other.
+    const auto [ways, kind] = GetParam();
+    runSoup(2, ways, kind, false);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -627,6 +655,26 @@ INSTANTIATE_TEST_SUITE_P(
                                          PolicyKind::TreePlru)),
     [](const ::testing::TestParamInfo<SoupParam> &info) {
         return std::to_string(std::get<0>(info.param)) + "way_" +
+               toString(std::get<1>(info.param));
+    });
+
+TEST_P(AssocCacheSparseSoupTest, MatchesNaiveModelStepByStep)
+{
+    const auto [geometry, kind] = GetParam();
+    runSoup(geometry.first, geometry.second, kind, true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SparseTags, AssocCacheSparseSoupTest,
+    ::testing::Combine(
+        ::testing::Values(std::pair<std::size_t, std::size_t>{1, 512},
+                          std::pair<std::size_t, std::size_t>{2, 16}),
+        ::testing::Values(PolicyKind::Lru, PolicyKind::Fifo,
+                          PolicyKind::Random, PolicyKind::TreePlru)),
+    [](const ::testing::TestParamInfo<SparseSoupParam> &info) {
+        const auto &geometry = std::get<0>(info.param);
+        return std::to_string(geometry.first) + "x" +
+               std::to_string(geometry.second) + "way_" +
                toString(std::get<1>(info.param));
     });
 

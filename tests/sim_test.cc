@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -217,6 +219,47 @@ TEST(ZipfTest, SkewFavorsLowRanks)
         ++counts[zipf(rng)];
     EXPECT_GT(counts[0], counts[10]);
     EXPECT_GT(counts[10], counts[99]);
+}
+
+TEST(ZipfTest, GuidedDrawMatchesAFullSearch)
+{
+    // The guide table may only narrow the search: every u must map to
+    // the rank std::lower_bound finds over the whole CDF, clamped to
+    // n-1 past its end. Probe the bucket edges j/K, every CDF value
+    // and the doubles either side of each, 0, 1, the largest double
+    // below 1, and 10^6 random draws in all.
+    Rng rng(31);
+    for (std::size_t n : {1, 2, 3, 4095, 4096, 4097}) {
+        for (double theta : {0.0, 0.8, 1.0, 1.5}) {
+            const ZipfDistribution zipf(n, theta);
+            const std::vector<double> &cdf = zipf.cdf();
+            ASSERT_EQ(cdf.size(), n);
+            const auto reference = [&](double u) {
+                const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+                return it == cdf.end()
+                           ? n - 1
+                           : static_cast<std::size_t>(it - cdf.begin());
+            };
+            std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+            const std::size_t buckets = std::bit_ceil(n);
+            for (std::size_t j = 0; j <= buckets; ++j)
+                probes.push_back(static_cast<double>(j) /
+                                 static_cast<double>(buckets));
+            probes.insert(probes.end(), cdf.begin(), cdf.end());
+            for (std::size_t i = 0, edges = probes.size(); i < edges; ++i) {
+                probes.push_back(std::nextafter(probes[i], 0.0));
+                probes.push_back(std::nextafter(probes[i], 1.0));
+            }
+            for (int i = 0; i < 1000000 / 24; ++i)
+                probes.push_back(rng.nextReal());
+            for (double u : probes) {
+                if (u < 0.0 || u > 1.0)
+                    continue;
+                ASSERT_EQ(zipf.draw(u), reference(u))
+                    << "n " << n << " theta " << theta << " u " << u;
+            }
+        }
+    }
 }
 
 TEST(GeometricTest, MeanMatches)
