@@ -2,7 +2,7 @@
  * @file
  * The parallel sweep engine bench: every (architecture x reference
  * stream x seed) cell of a design-space sweep run twice, serially and
- * across the work-stealing pool, verifying bit-identical simulated
+ * across host threads (parallelFor), verifying bit-identical simulated
  * results and reporting the wall-clock speedup and per-cell
  * throughput (refs/sec, simulated cycles/ref).
  *
@@ -83,7 +83,7 @@ runSweep(const Options &options)
 
     bench::printHeader(
         "Parallel sweep engine: models x streams x seeds",
-        "Each cell is one self-contained System; the pool runs cells "
+        "Each cell is one self-contained System; host threads run cells "
         "concurrently and System::run issues the references "
         "within a cell. Simulated results are bit-identical to the "
         "serial run.");

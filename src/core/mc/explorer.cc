@@ -42,8 +42,7 @@ explore(const ExplorerConfig &config)
 {
     ExplorerResult result;
     result.runs.resize(config.seeds);
-    ThreadPool pool(config.threads);
-    parallelFor(pool, config.seeds, [&](u64 i) {
+    parallelFor(config.threads, config.seeds, [&](u64 i) {
         McConfig cell = config.base;
         cell.scheduleSeed = config.firstSeed + i;
         cell.tidBase = static_cast<u32>(i) * kTidStride + 1;
@@ -67,8 +66,7 @@ exploreCrossModel(const ExplorerConfig &config)
     constexpr auto kModels = allModels();
     CrossModelResult result;
     result.runs.resize(config.seeds);
-    ThreadPool pool(config.threads);
-    parallelFor(pool, config.seeds, [&](u64 i) {
+    parallelFor(config.threads, config.seeds, [&](u64 i) {
         CrossModelRun &run = result.runs[i];
         run.scheduleSeed = config.firstSeed + i;
         // The models of one seed run serially in this cell so their

@@ -5,7 +5,7 @@
  * invariants on every one.
  *
  * Each schedule seed is one self-contained McSystem (own hardware,
- * kernel, canonical state), so seeds parallelize across a ThreadPool
+ * kernel, canonical state), so seeds parallelize through parallelFor
  * exactly like sweep cells: results land in slot `i`, tids are
  * partitioned per cell, and the output is bit-identical at any host
  * thread count. The invariants each run is checked against:
@@ -81,7 +81,8 @@ ExplorerResult explore(const ExplorerConfig &config);
 struct CrossModelRun
 {
     u64 scheduleSeed = 0;
-    /** plb, page-group, conventional, in that order. */
+    /** One run per model of core::allModels() (plb, page-group,
+     * conventional, pkey), in that order. */
     std::vector<RunSummary> byModel;
     bool outcomesAgree = false;
 };

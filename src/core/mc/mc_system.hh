@@ -22,7 +22,7 @@
  * Everything is simulated on the calling host thread: the seeded
  * McSchedule alone decides which core steps next, so one
  * (workload seed, schedule seed, cores) triple is bit-identical on
- * any host; host thread pools (sim/parallel.hh) only ever execute
+ * any host; host threads (sim/parallel.hh) only ever execute
  * *different* pre-decided schedules concurrently (see explorer.hh).
  */
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * The sweep campaign abstraction: (model x workload x seed) cells with
- * stable identities, sliced execution, and the thread-pool runner.
+ * stable identities, sliced execution, and the parallel runner.
  *
  * Promoted from bench/sweep_runner.hh so the multi-process farm
  * (src/farm/coordinator.hh), bench_sweep and bench_snap all share one
@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -325,14 +326,13 @@ class CellExecution
     std::chrono::steady_clock::time_point start_;
 };
 
-/** Runs campaign cells across a thread pool, deterministically. */
+/** Runs campaign cells across host threads, deterministically. */
 class SweepRunner
 {
   public:
-    /** @param threads worker count; 1 runs inline on the caller. */
-    explicit SweepRunner(unsigned threads) : pool_(threads) {}
-
-    unsigned threadCount() const { return pool_.threadCount(); }
+    /** @param threads worker count; 0 means defaultThreads(), 1 runs
+     * inline on the caller. */
+    explicit SweepRunner(unsigned threads) : threads_(threads) {}
 
     /** Replay a cell's warm-up prefix live and seal the result into
      * the prefix image its whole sweep family shares. */
@@ -366,7 +366,7 @@ class SweepRunner
     {
         const std::vector<SweepCell> &cells = campaign.cells();
         std::vector<CellResult> results(cells.size());
-        parallelFor(pool_, cells.size(), [&](u64 i) {
+        parallelFor(threads_, cells.size(), [&](u64 i) {
             results[i] =
                 runCell(cells[i], static_cast<u32>(cells[i].id) + 1);
         });
@@ -381,7 +381,7 @@ class SweepRunner
     }
 
   private:
-    ThreadPool pool_;
+    unsigned threads_;
 };
 
 /** Cold-vs-warm comparison for the sweep artifact's "warm" block. */
@@ -497,49 +497,47 @@ readTrajectory(const std::string &path)
     return entries;
 }
 
-/** The commit to stamp on a trajectory record: walk up from the
- * working directory (benches run from build/) to the repository root
- * and resolve .git/HEAD by hand -- loose ref, then packed-refs, then
- * a detached HEAD hash. "unknown" when no repository is found, so the
- * bench also runs from an exported tarball. */
-inline std::string
-headCommit()
+namespace detail
 {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::path dir = fs::current_path(ec);
-    if (ec)
+
+/** Run a git command in `dir`; its stdout with the trailing newline
+ * dropped, or nullopt when git cannot run or fails. */
+inline std::optional<std::string>
+gitOutput(const std::filesystem::path &dir, const std::string &args)
+{
+    const std::string command =
+        "git -C '" + dir.string() + "' " + args + " 2>/dev/null";
+    FILE *pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return std::nullopt;
+    std::string out;
+    char buf[256];
+    while (const std::size_t got = std::fread(buf, 1, sizeof buf, pipe))
+        out.append(buf, got);
+    if (pclose(pipe) != 0)
+        return std::nullopt;
+    if (!out.empty() && out.back() == '\n')
+        out.pop_back();
+    return out;
+}
+
+} // namespace detail
+
+/** The commit to stamp on a trajectory record: git's short HEAD hash
+ * for the repository holding `dir` (benches run from build/), with
+ * "-dirty" appended when tracked files differ from it. "unknown" when
+ * git cannot run or no repository is found, so the bench also runs
+ * from an exported tarball. */
+inline std::string
+headCommit(const std::filesystem::path &dir = ".")
+{
+    const std::optional<std::string> hash =
+        detail::gitOutput(dir, "rev-parse --short=12 HEAD");
+    const std::optional<std::string> status =
+        detail::gitOutput(dir, "status --porcelain --untracked-files=no");
+    if (!hash || hash->empty() || !status)
         return "unknown";
-    while (true) {
-        const fs::path git = dir / ".git";
-        const fs::path head = git / "HEAD";
-        if (fs::exists(head, ec) && !ec) {
-            std::ifstream is(head);
-            std::string line;
-            if (!std::getline(is, line) || line.empty())
-                return "unknown";
-            if (line.rfind("ref: ", 0) != 0)
-                return line.substr(0, 12);
-            const std::string ref = line.substr(5);
-            std::ifstream loose(git / ref);
-            std::string hash;
-            if (loose && std::getline(loose, hash) && !hash.empty())
-                return hash.substr(0, 12);
-            std::ifstream packed(git / "packed-refs");
-            std::string pline;
-            while (std::getline(packed, pline)) {
-                if (pline.size() > ref.size() + 1 && pline[0] != '#' &&
-                    pline.compare(pline.size() - ref.size(), ref.size(),
-                                  ref) == 0)
-                    return pline.substr(0, 12);
-            }
-            return "unknown";
-        }
-        const fs::path parent = dir.parent_path();
-        if (parent == dir)
-            return "unknown";
-        dir = parent;
-    }
+    return status->empty() ? *hash : *hash + "-dirty";
 }
 
 /** Today as YYYY-MM-DD (UTC), for trajectory records. */

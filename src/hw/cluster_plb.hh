@@ -107,6 +107,8 @@ class ClusterPlb
                            u64 pages);
     u64 purgeAll();
     bool evictOne(Rng &rng);
+    /** Side-effect-free probe over the banks the directory names;
+     * scale_test uses it to check the directory. */
     u64 countRange(std::optional<DomainId> domain, vm::Vpn first,
                    u64 pages) const;
     /// @}

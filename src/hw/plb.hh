@@ -217,9 +217,9 @@ class Plb
 
     /**
      * Count valid entries overlapping a page range (one domain, or
-     * all when nullopt), with no stats or replacement side effects.
-     * Shootdown ack processing probes this to size the stale state a
-     * remote core still held when it finally took the IPI.
+     * all when nullopt). A side-effect-free probe: no stats, no
+     * replacement state. scale_test uses it to check the clustered
+     * PLB's directory against its banks.
      */
     u64 countRange(std::optional<DomainId> domain, vm::Vpn first,
                    u64 pages) const;

@@ -176,22 +176,6 @@ Tlb::purgeAll()
     return dropped;
 }
 
-u64
-Tlb::countRange(std::optional<DomainId> asid, vm::Vpn first,
-                u64 pages) const
-{
-    const u64 lo = first.number();
-    const u64 hi = lo + pages;
-    u64 count = 0;
-    array_.forEach([&](const Key &key, const TlbEntry &) {
-        if (asid && key.asid != *asid)
-            return;
-        if (key.vpn >= lo && key.vpn < hi)
-            ++count;
-    });
-    return count;
-}
-
 bool
 Tlb::evictOne(Rng &rng)
 {

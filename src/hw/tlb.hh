@@ -155,15 +155,6 @@ class Tlb
      */
     bool evictOne(Rng &rng);
 
-    /**
-     * Count valid entries for pages in [first, first+pages),
-     * optionally restricted to one ASID, with no stats or replacement
-     * side effects. Shootdown ack processing probes this to size the
-     * stale state a remote core still held when it took the IPI.
-     */
-    u64 countRange(std::optional<DomainId> asid, vm::Vpn first,
-                   u64 pages) const;
-
     std::size_t occupancy() const { return array_.occupancy(); }
     std::size_t capacity() const { return array_.capacity(); }
 

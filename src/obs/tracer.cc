@@ -71,7 +71,7 @@ struct Ring
 };
 
 /** All rings ever registered; rings are owned here and outlive their
- * threads so stopTracing can harvest pool workers' events. */
+ * threads so stopTracing can harvest parallelFor workers' events. */
 struct Registry
 {
     std::mutex mutex;

@@ -120,9 +120,11 @@ unsigned
 Options::threads() const
 {
     const u64 value = getU64("threads", 0);
+    if (value > 1024)
+        SASOS_FATAL("option 'threads': must be at most 1024, got ", value);
     if (value != 0)
         return static_cast<unsigned>(value);
-    return ThreadPool::defaultThreads();
+    return defaultThreads();
 }
 
 const char *
@@ -130,8 +132,9 @@ Options::helpText()
 {
     return "common options (key=value or --sasos-key=value):\n"
            "  model=plb|pg|conv      protection architecture preset\n"
-           "  threads=N              sweep worker threads (default:\n"
-           "                         hardware concurrency; 1 = serial)\n"
+           "  threads=N              sweep worker threads, at most 1024\n"
+           "                         (default: hardware concurrency;\n"
+           "                         1 = serial)\n"
            "  seed=N                 top-level simulation seed\n"
            "  frames=N               physical memory frames\n"
            "  cacheKB= lineBytes= cacheWays= cacheOrg=   data cache\n"

@@ -53,7 +53,8 @@ class Options
     /**
      * The `threads=` key: worker count for parallel sweep drivers.
      * Defaults to the hardware concurrency; `threads=1` forces the
-     * serial path (the determinism baseline).
+     * serial path (the determinism baseline). Above 1024 (the bound
+     * `cores=` uses) is fatal.
      */
     unsigned threads() const;
 

@@ -1,25 +1,21 @@
 /**
  * @file
- * A work-stealing thread-pool executor for the simulation driver.
+ * The simulation driver's only host concurrency: an index loop fanned
+ * out over a few threads.
  *
  * Large experiments are sweeps of independent (model x geometry x
  * workload x seed) cells; each cell owns a complete core::System, so
- * cells share no mutable state and parallelize perfectly. The pool
- * keeps one deque per worker: owners push and pop at the back (LIFO,
- * cache-warm), idle workers steal from the front of a victim's deque
- * (FIFO, oldest -- and therefore largest -- work first). Determinism
- * is the caller's job and is easy: write results into a slot indexed
- * by cell, never into shared accumulators.
+ * cells share no mutable state and parallelize perfectly. Workers
+ * claim indices from one atomic counter. Determinism is the caller's
+ * job and is easy: write results into a slot indexed by cell, never
+ * into shared accumulators.
  */
 
 #ifndef SASOS_SIM_PARALLEL_HH
 #define SASOS_SIM_PARALLEL_HH
 
-#include <condition_variable>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <mutex>
+#include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -28,84 +24,41 @@
 namespace sasos
 {
 
-/** A fixed-size pool of workers with per-worker deques and stealing. */
-class ThreadPool
+/** The `threads=` default: hardware concurrency, at least 1. */
+inline unsigned
+defaultThreads()
 {
-  public:
-    using Task = std::function<void()>;
-
-    /** @param threads worker count; 0 means defaultThreads(). */
-    explicit ThreadPool(unsigned threads = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
-
-    /** Queue one task; may be called from worker threads (a task may
-     * spawn subtasks), in which case it lands on the caller's own
-     * deque. Tasks must not throw. */
-    void submit(Task task);
-
-    /** Block until every submitted task has finished. */
-    void wait();
-
-    /** The `threads=` default: hardware concurrency, at least 1. */
-    static unsigned defaultThreads();
-
-  private:
-    struct Worker
-    {
-        std::deque<Task> tasks;
-        std::mutex mutex;
-    };
-
-    void workerLoop(unsigned self);
-    /** Pop from our own deque or steal; false when everything is empty. */
-    bool tryRun(unsigned self);
-    void finishTask();
-
-    std::vector<std::unique_ptr<Worker>> queues_;
-    std::vector<std::thread> threads_;
-
-    /** Guards the two condition variables below. */
-    std::mutex sleepMutex_;
-    /** Signals workers that a task was queued (or shutdown). */
-    std::condition_variable wake_;
-    /** Signals wait() that the pool drained. */
-    std::condition_variable idle_;
-
-    /** Tasks sitting in deques, not yet claimed. */
-    u64 queued_ = 0;
-    /** Tasks submitted and not yet finished. */
-    u64 pending_ = 0;
-    bool stop_ = false;
-    /** Round-robin cursor for external submits. */
-    u64 nextQueue_ = 0;
-};
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /**
- * Run fn(i) for every i in [0, n), distributed across the pool, and
- * block until all iterations finish. With a single-thread pool the
- * loop runs inline on the calling thread (no scheduling, useful both
- * as the threads=1 determinism baseline and under sanitizers).
+ * Run fn(i) for every i in [0, n) and return when all have finished.
+ * `threads` 0 means defaultThreads(). With one thread, or at most one
+ * index, the loop runs inline on the calling thread (the threads=1
+ * determinism baseline). Otherwise min(threads, n) workers run the
+ * indices and the caller only waits, so its trace tid is left alone.
+ * fn must not throw.
  */
 template <typename Fn>
 void
-parallelFor(ThreadPool &pool, u64 n, Fn &&fn)
+parallelFor(unsigned threads, u64 n, Fn &&fn)
 {
-    if (pool.threadCount() <= 1) {
+    if (threads == 0)
+        threads = defaultThreads();
+    if (threads <= 1 || n <= 1) {
         for (u64 i = 0; i < n; ++i)
             fn(i);
         return;
     }
-    for (u64 i = 0; i < n; ++i)
-        pool.submit([i, &fn] { fn(i); });
-    pool.wait();
+    std::atomic<u64> next{0};
+    // Joined when the vector goes out of scope.
+    std::vector<std::jthread> workers(std::min<u64>(threads, n));
+    for (std::jthread &worker : workers) {
+        worker = std::jthread([&] {
+            for (u64 i = next++; i < n; i = next++)
+                fn(i);
+        });
+    }
 }
 
 } // namespace sasos

@@ -50,6 +50,21 @@ TEST(OptionsEdgeTest, UnknownCostConstantIsFatal)
                 ::testing::ExitedWithCode(1), "unknown cost constant");
 }
 
+TEST(OptionsEdgeTest, ThreadsAboveTheBoundIsFatal)
+{
+    // Only parses the key: a rejected count must never reach a
+    // thread launch, and 2^32 must not wrap to the default.
+    Options options;
+    for (const char *value : {"1025", "100000", "4294967296"}) {
+        options.set("threads", value);
+        EXPECT_EXIT(options.threads(), ::testing::ExitedWithCode(1),
+                    "at most 1024")
+            << value;
+    }
+    options.set("threads", "1024");
+    EXPECT_EQ(options.threads(), 1024u);
+}
+
 TEST(OptionsEdgeTest, HexValuesParse)
 {
     Options options;

@@ -29,6 +29,7 @@
 #include "farm/wire.hh"
 #include "farm/worker.hh"
 #include "sim/logging.hh"
+#include "temp_path.hh"
 
 using namespace sasos;
 
@@ -196,6 +197,51 @@ TEST(CampaignTest, UnknownIdLookupIsFatal)
     ScopedFatalThrow bridge;
     const farm::Campaign campaign(std::vector<farm::SweepCell>{makeCell()});
     EXPECT_THROW(campaign.indexOf(99), FatalRejection);
+}
+
+// ---------------------------------------------------------------------
+// The trajectory stamp: git's view of the checkout, dirty or not.
+
+namespace
+{
+
+/** Run a shell command in `dir`; true when it exits 0. */
+bool
+shellIn(const std::filesystem::path &dir, const std::string &command)
+{
+    const std::string line =
+        "cd '" + dir.string() + "' && " + command + " >/dev/null 2>&1";
+    return std::system(line.c_str()) == 0;
+}
+
+} // namespace
+
+TEST(HeadCommitTest, StampsCleanDirtyAndOutsideARepository)
+{
+    if (std::system("git --version >/dev/null 2>&1") != 0)
+        GTEST_SKIP() << "git is not runnable";
+    const std::filesystem::path dir = test::uniqueTempPath("repo");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    EXPECT_EQ(farm::headCommit(dir), "unknown");
+
+    ASSERT_TRUE(shellIn(dir, "git init -q && echo a > tracked && "
+                             "git add tracked && git -c user.name=t "
+                             "-c user.email=t@example.com "
+                             "-c commit.gpgsign=false commit -q -m init"));
+    const std::string clean = farm::headCommit(dir);
+    EXPECT_EQ(clean.size(), 12u) << clean;
+    EXPECT_EQ(clean.find_first_not_of("0123456789abcdef"),
+              std::string::npos)
+        << clean;
+
+    // An untracked file leaves the stamp clean; an edit to a tracked
+    // one marks it.
+    std::ofstream(dir / "untracked") << "u\n";
+    EXPECT_EQ(farm::headCommit(dir), clean);
+    std::ofstream(dir / "tracked") << "b\n";
+    EXPECT_EQ(farm::headCommit(dir), clean + "-dirty");
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel sweep engine and the reference loop: the
- * thread pool executes everything exactly once, a sweep's simulated
+ * Tests for the parallel sweep engine and the reference loop:
+ * parallelFor runs every index exactly once, a sweep's simulated
  * results are bit-identical whatever the thread count, and System::run
  * with the models' same-page memo live charges exactly the cycles and
  * stats of memo-free per-call access().
@@ -14,7 +14,10 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -27,90 +30,55 @@
 
 using namespace sasos;
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce)
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    constexpr int kTasks = 200;
-    std::vector<std::atomic<int>> runs(kTasks);
-    for (int i = 0; i < kTasks; ++i)
-        pool.submit([&runs, i] { ++runs[i]; });
-    pool.wait();
-    for (int i = 0; i < kTasks; ++i)
-        EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-}
-
-TEST(ThreadPoolTest, WaitWithNothingPendingReturns)
-{
-    ThreadPool pool(2);
-    pool.wait();
-    pool.submit([] {});
-    pool.wait();
-}
-
-TEST(ThreadPoolTest, TasksMaySpawnSubtasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> total{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&pool, &total] {
-            ++total;
-            for (int j = 0; j < 4; ++j)
-                pool.submit([&total] { ++total; });
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(total.load(), 8 * 5);
-}
-
-TEST(ThreadPoolTest, WaitCountsSubtasksSpawnedUnderStress)
-{
-    // Many short rounds of tasks that spawn subtasks onto their own
-    // deques, where idle workers steal them at once. wait() must
-    // return only after every task of the round ran: a submit that
-    // published a task before counting it could be overtaken by the
-    // thief's finish and wake wait() early.
-    constexpr int kRounds = 5000;
-    constexpr int kParents = 8;
-    constexpr int kChildren = 6;
-    // Declared before the pool, so the pool (and any task a broken
-    // wait() left running) is gone before the counters are.
-    std::vector<std::atomic<int>> totals(kRounds);
-    ThreadPool pool(4);
-    for (int round = 0; round < kRounds; ++round) {
-        std::atomic<int> &total = totals[round];
-        for (int i = 0; i < kParents; ++i) {
-            pool.submit([&pool, &total] {
-                for (int j = 0; j < kChildren; ++j)
-                    pool.submit([&total] { ++total; });
-                ++total;
-            });
+    for (unsigned threads : {0u, 1u, 2u, 4u, 7u}) {
+        for (u64 n : {u64{0}, u64{1}, u64{3}, u64{64}}) {
+            std::vector<std::atomic<int>> hits(n);
+            parallelFor(threads, n, [&](u64 i) { ++hits[i]; });
+            for (u64 i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads
+                                             << " n=" << n << " i=" << i;
         }
-        pool.wait();
-        ASSERT_EQ(total.load(), kParents * (kChildren + 1))
-            << "round " << round;
     }
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndex)
+TEST(ParallelForTest, OneThreadRunsOnTheCaller)
 {
-    ThreadPool pool(4);
-    constexpr u64 kN = 500;
-    std::vector<std::atomic<int>> hits(kN);
-    parallelFor(pool, kN, [&](u64 i) { ++hits[i]; });
-    for (u64 i = 0; i < kN; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran(8);
+    parallelFor(1, ran.size(), [&](u64 i) {
+        ran[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id &id : ran)
+        EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPoolTest, DefaultThreadsIsAtLeastOne)
+TEST(ParallelForTest, NeverStartsMoreWorkersThanThreadsOrIndices)
 {
-    EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+    for (unsigned threads : {2u, 4u, 7u}) {
+        for (u64 n : {u64{3}, u64{64}}) {
+            std::mutex mutex;
+            std::set<std::thread::id> ids;
+            parallelFor(threads, n, [&](u64) {
+                std::lock_guard<std::mutex> lock(mutex);
+                ids.insert(std::this_thread::get_id());
+            });
+            EXPECT_LE(ids.size(), std::min<u64>(threads, n))
+                << "threads=" << threads << " n=" << n;
+        }
+    }
+}
+
+TEST(ParallelForTest, DefaultThreadsIsAtLeastOne)
+{
+    EXPECT_GE(defaultThreads(), 1u);
 }
 
 TEST(OptionsTest, ThreadsKeyDefaultsToHardwareConcurrency)
 {
     Options options;
-    EXPECT_EQ(options.threads(), ThreadPool::defaultThreads());
+    EXPECT_EQ(options.threads(), defaultThreads());
     options.set("threads", "3");
     EXPECT_EQ(options.threads(), 3u);
 }
