@@ -175,6 +175,17 @@ setupCell(core::System &sys, const SweepCell &cell)
     return sys.state().segments.find(seg)->base();
 }
 
+/** Replay a cell's warm-up prefix live: warmRefs references drawn
+ * from a warmSeed-seeded Rng and stream over the heap at `base`. */
+inline void
+replayWarmPrefix(core::System &sys, const SweepCell &cell, vm::VAddr base)
+{
+    Rng rng(cell.warmSeed);
+    std::unique_ptr<wl::AddressStream> stream =
+        cell.makeStream(base, cell.pages, cell.warmSeed);
+    sys.run(*stream, cell.warmRefs, rng, cell.type);
+}
+
 /**
  * One cell's in-progress execution: the System, Rng and stream plus
  * the progress tally, steppable in slices. Running a cell in any
@@ -303,10 +314,7 @@ class CellExecution
                 restorer.restore(sys_);
                 restorer.finish();
             } else {
-                Rng warm_rng(cell.warmSeed);
-                std::unique_ptr<wl::AddressStream> warm_stream =
-                    cell.makeStream(base, cell.pages, cell.warmSeed);
-                sys_.run(*warm_stream, cell.warmRefs, warm_rng, cell.type);
+                replayWarmPrefix(sys_, cell, base);
             }
         }
         // The continuation re-seeds from the cell's own seed in both
@@ -340,11 +348,7 @@ class SweepRunner
     buildWarmImage(const SweepCell &cell)
     {
         core::System sys(cell.config);
-        const vm::VAddr base = setupCell(sys, cell);
-        Rng rng(cell.warmSeed);
-        std::unique_ptr<wl::AddressStream> stream =
-            cell.makeStream(base, cell.pages, cell.warmSeed);
-        sys.run(*stream, cell.warmRefs, rng, cell.type);
+        replayWarmPrefix(sys, cell, setupCell(sys, cell));
         snap::Snapshotter snapper;
         snapper.add(sys);
         return std::make_shared<snap::Snapshot>(std::move(snapper).finish());

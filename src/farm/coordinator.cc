@@ -1,6 +1,5 @@
 #include "farm/coordinator.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -33,8 +32,6 @@ FarmOptions::fromOptions(const Options &options)
         static_cast<unsigned>(options.getU64("farm_workers", o.workers));
     o.checkpointEvery =
         options.getU64("farm_checkpoint_every", o.checkpointEvery);
-    o.adaptiveCheckpoint =
-        options.getBool("farm_adaptive", o.adaptiveCheckpoint);
     o.killRate = options.getDouble("farm_kill_rate", o.killRate);
     o.migrateRate = options.getDouble("farm_migrate_rate", o.migrateRate);
     o.killSeed = options.getU64("farm_kill_seed", o.killSeed);
@@ -42,25 +39,6 @@ FarmOptions::fromOptions(const Options &options)
     o.maxAttempts = static_cast<unsigned>(
         options.getU64("farm_max_attempts", o.maxAttempts));
     return o;
-}
-
-u64
-adaptiveCheckpointEvery(u64 base, u64 assignments, u64 deaths)
-{
-    if (base == 0)
-        return 0;
-    if (deaths == 0)
-        return base;
-    // Each death weighs as four clean assignments: cadence halves
-    // once deaths reach a quarter of the order count, floored at
-    // base/8 (but never 0) so a pathological kill schedule cannot
-    // turn the farm into a checkpoint-only storm.
-    const u64 weight = assignments + 1;
-    u64 scaled = base * weight / (weight + 4 * deaths);
-    const u64 floor = std::max<u64>(1, base / 8);
-    if (scaled < floor)
-        scaled = floor;
-    return std::min(scaled, base);
 }
 
 namespace
@@ -342,14 +320,7 @@ class Coordinator
 
             Message order;
             order.cell = campaign_.cells()[work.index].id;
-            // The cadence rides in each order, so a farm under fire
-            // tightens checkpointing for newly assigned cells while
-            // in-flight ones keep the cadence they started with.
-            order.checkpointEvery =
-                options_.adaptiveCheckpoint
-                    ? adaptiveCheckpointEvery(options_.checkpointEvery,
-                                              assignments_, stats_.deaths)
-                    : options_.checkpointEvery;
+            order.checkpointEvery = options_.checkpointEvery;
             if (work.image) {
                 // Hand-off preflight: never ship a corrupt image to a
                 // worker; fall back to restarting the cell.
@@ -372,7 +343,7 @@ class Coordinator
             }
             // A planned migration rides in the order: the worker
             // checkpoints once, ships the image stopped, and drops
-            // the cell -- deterministic, unlike a raced wire Preempt.
+            // the cell, at a point fixed by the order alone.
             if (cell.migratePlanned && options_.checkpointEvery)
                 order.preemptFirst = true;
 
@@ -387,7 +358,6 @@ class Coordinator
                 continue;
             }
 
-            ++assignments_;
             slot.idle = false;
             slot.cell = static_cast<long>(work.index);
             slot.imagesThisCell = 0;
@@ -724,9 +694,6 @@ class Coordinator
     std::vector<CellState> cells_;
     std::vector<CellResult> results_;
     FarmStats stats_;
-    /** Orders successfully written, the adaptive cadence's
-     * denominator. */
-    u64 assignments_ = 0;
     std::size_t done_ = 0;
     u64 nextWorkerIndex_ = 0;
     std::string error_;

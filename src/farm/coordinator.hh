@@ -28,7 +28,9 @@
  * resume-from-image recovery paths are exercised. Each cell is doomed
  * at most once, so chaos never livelocks a campaign. migrateRate
  * instead preempts the cell at its first checkpoint and resumes it on
- * a different worker: the graceful elasticity path.
+ * a different worker: the graceful elasticity path. That preemption
+ * rides in the order itself (Message::preemptFirst), the farm's one
+ * way to stop a running cell; every other stop is a SIGKILL.
  *
  * Every recovery path lands on the same guarantee, enforced by
  * bench_farm and tests/farm_test.cc: the farmed results are
@@ -55,12 +57,6 @@ struct FarmOptions
     /** References between worker checkpoints; 0 disables mid-cell
      * checkpointing (farm_checkpoint_every=). */
     u64 checkpointEvery = 0;
-    /** Adapt the checkpoint cadence to the observed kill rate
-     * (farm_adaptive=): the more deaths per assignment the farm has
-     * seen, the denser the checkpoints, down to base/8. Purely a
-     * lost-work/IO trade -- results stay bit-identical to serial
-     * either way. */
-    bool adaptiveCheckpoint = false;
     /** Seeded probability of one chaos SIGKILL per cell
      * (farm_kill_rate=). */
     double killRate = 0.0;
@@ -77,20 +73,54 @@ struct FarmOptions
     static FarmOptions fromOptions(const Options &options);
 };
 
-/** What the farm did to finish the campaign. */
+/** What the farm did to finish the campaign. The last three count
+ * faults a healthy farm never sees; the farm tests assert they stay
+ * 0 under chaos kills and migrations. */
 struct FarmStats
 {
+    /** Worker processes forked: the initial `workers`, plus one
+     * replacement per death while cells remain. */
     u64 forks = 0;
+    /** Workers reaped before shutdown: chaos kills, timeouts,
+     * crashes, and workers killed for a poisoned frame or a rejected
+     * image. Nonzero only when a worker was lost. */
     u64 deaths = 0;
+    /** Seeded chaos SIGKILLs, at most one per cell; nonzero only
+     * with killRate > 0. */
     u64 chaosKills = 0;
+    /** Busy workers silent for timeoutSec, killed by the watchdog;
+     * nonzero only when a worker hangs or a slice outlasts
+     * timeoutSec. */
     u64 timeouts = 0;
+    /** Cells requeued because their worker died mid-cell, to resume
+     * from the last accepted image or restart; at most `deaths`. */
     u64 retries = 0;
+    /** Image frames received for a running cell, stopped ones
+     * included; nonzero only with checkpointEvery > 0. */
     u64 checkpointImages = 0;
+    /** Orders sent with preemptFirst, at most one per cell; nonzero
+     * only with migrateRate > 0 and checkpointEvery > 0. */
     u64 preempts = 0;
+    /** Stopped images accepted and requeued for another worker; at
+     * most `preempts` (a cell that ends within its first slice sends
+     * Done instead). */
     u64 migrations = 0;
+    /** Resume orders sent: a cell continued from an accepted image
+     * after a death or a migration. */
     u64 resumes = 0;
+    /** Images whose envelope failed preflightEnvelope, on receipt
+     * (the sender is killed) or at hand-off (the cell restarts).
+     * Nonzero only when a worker or pipe corrupted an image. */
     u64 rejectedImages = 0;
+    /** Frames that broke the protocol -- a bad header, a failed
+     * decode, a kind workers never send, or a cell id the worker
+     * does not hold; the worker is killed. Nonzero only for a faulty
+     * worker. */
     u64 poisonedFrames = 0;
+    /** Done frames for a cell already done. A cell is requeued only
+     * after its worker was reaped or stopped it, so no cell runs
+     * twice at once and this stays 0; a nonzero count is a
+     * coordinator bug (diverging duplicates also fail the farm). */
     u64 duplicateResults = 0;
 };
 
@@ -103,17 +133,6 @@ struct FarmResult
     FarmStats stats;
     double wallSeconds = 0.0;
 };
-
-/**
- * The adaptive cadence: scale `base` down by the observed death rate
- * (`deaths` worker deaths over `assignments` orders issued so far).
- * A farm that never loses workers keeps the sparse base cadence; a
- * farm bleeding workers converges toward base/8, so at most ~1/8 of
- * base's worth of references can be lost to any one death. Returns 0
- * iff base is 0 (adaptivity never turns checkpointing on or off,
- * which the chaos/migration plumbing relies on).
- */
-u64 adaptiveCheckpointEvery(u64 base, u64 assignments, u64 deaths);
 
 /** Run the whole campaign across a forked worker pool. */
 FarmResult runFarm(const Campaign &campaign, const FarmOptions &options);

@@ -2,7 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <poll.h>
+#include <optional>
 #include <unistd.h>
 
 namespace sasos::farm
@@ -12,6 +12,26 @@ namespace
 {
 
 constexpr char kFrameTag[] = "farm.msg";
+
+/** Check a frame header (its first snap::kHeaderBytes): the snapshot
+ * magic and a payload length under the frame ceiling. The envelope's
+ * version and checksum wait for decodeMessage. @return the payload
+ * length, or nullopt with `err` naming the violation. */
+std::optional<u64>
+payloadLength(const u8 *head, std::string &err)
+{
+    if (std::memcmp(head, snap::kMagic, sizeof(snap::kMagic)) != 0) {
+        err = "frame header has bad magic";
+        return std::nullopt;
+    }
+    const u64 length = snap::loadLe<u64>(head + 16);
+    if (length > kMaxFrameBytes - snap::kHeaderBytes) {
+        err = "frame header claims " + std::to_string(length) +
+              " payload bytes, over the ceiling";
+        return std::nullopt;
+    }
+    return length;
+}
 
 } // namespace
 
@@ -38,9 +58,6 @@ encodeMessage(const Message &message)
         w.put64(message.completed);
         w.put64(message.failed);
         w.putBytes(message.image);
-        break;
-      case MsgKind::Preempt:
-        w.put64(message.cell);
         break;
       case MsgKind::Image:
         w.put64(message.cell);
@@ -78,10 +95,6 @@ decodeMessage(const std::vector<u8> &frame)
     snap::SnapReader r(frame);
     r.expectTag(kFrameTag);
     const u8 kind = r.get8();
-    if (kind < static_cast<u8>(MsgKind::Hello) ||
-        kind > static_cast<u8>(MsgKind::Shutdown))
-        SASOS_FATAL("farm frame carries unknown message kind ",
-                    static_cast<unsigned>(kind));
     Message message;
     message.kind = static_cast<MsgKind>(kind);
     switch (message.kind) {
@@ -101,9 +114,6 @@ decodeMessage(const std::vector<u8> &frame)
         message.completed = r.get64();
         message.failed = r.get64();
         message.image = r.getBytes();
-        break;
-      case MsgKind::Preempt:
-        message.cell = r.get64();
         break;
       case MsgKind::Image:
         message.cell = r.get64();
@@ -129,6 +139,9 @@ decodeMessage(const std::vector<u8> &frame)
         break;
       case MsgKind::Shutdown:
         break;
+      default:
+        SASOS_FATAL("farm frame carries unknown message kind ",
+                    static_cast<unsigned>(kind));
     }
     r.finish();
     return message;
@@ -159,19 +172,12 @@ FrameBuffer::next(std::vector<u8> &frame)
     if (avail < snap::kHeaderBytes)
         return 0;
     const u8 *head = buffer_.data() + consumed_;
-    if (std::memcmp(head, snap::kMagic, sizeof(snap::kMagic)) != 0) {
+    const std::optional<u64> length = payloadLength(head, error_);
+    if (!length) {
         poisoned_ = true;
-        error_ = "frame header has bad magic; framing lost";
         return -1;
     }
-    const u64 length = snap::loadLe<u64>(head + 16);
-    if (length > kMaxFrameBytes - snap::kHeaderBytes) {
-        poisoned_ = true;
-        error_ = "frame header claims " + std::to_string(length) +
-                 " payload bytes, over the ceiling";
-        return -1;
-    }
-    const std::size_t total = snap::kHeaderBytes + length;
+    const std::size_t total = snap::kHeaderBytes + *length;
     if (avail < total)
         return 0;
     frame.assign(head, head + total);
@@ -234,35 +240,17 @@ readFrame(int fd, std::vector<u8> &frame, std::string &err)
                                     err);
     if (head != ReadStatus::Frame)
         return head;
-    if (std::memcmp(frame.data(), snap::kMagic, sizeof(snap::kMagic)) !=
-        0) {
-        err = "frame header has bad magic";
+    const std::optional<u64> length = payloadLength(frame.data(), err);
+    if (!length)
         return ReadStatus::Error;
-    }
-    const u64 length = snap::loadLe<u64>(frame.data() + 16);
-    if (length > kMaxFrameBytes - snap::kHeaderBytes) {
-        err = "frame header claims " + std::to_string(length) +
-              " payload bytes, over the ceiling";
-        return ReadStatus::Error;
-    }
-    frame.resize(snap::kHeaderBytes + length);
+    frame.resize(snap::kHeaderBytes + *length);
     const ReadStatus body = readAll(fd, frame.data() + snap::kHeaderBytes,
-                                    length, err);
+                                    *length, err);
     if (body == ReadStatus::Eof) {
         err = "peer closed between a frame's header and payload";
         return ReadStatus::Error;
     }
     return body;
-}
-
-bool
-readableNow(int fd)
-{
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLIN | POLLHUP));
 }
 
 } // namespace sasos::farm

@@ -10,10 +10,11 @@
  * decodeMessage() treats frames as untrusted input and SASOS_FATALs
  * on any malformation (tests reroute the fatal into an exception; the
  * coordinator wraps decoding and treats a rejection as worker death).
- * The coordinator's receive path uses FrameBuffer, an incremental
- * reassembler that validates the header -- magic and a hard frame
- * length ceiling -- before buffering a frame's payload, so a hostile
- * or corrupt length field cannot drive a huge allocation.
+ * Both receive paths -- the coordinator's FrameBuffer, an incremental
+ * reassembler, and the worker's blocking readFrame -- check the frame
+ * header (magic and a hard frame length ceiling) in one place before
+ * buffering a frame's payload, so a hostile or corrupt length field
+ * cannot drive a huge allocation.
  */
 
 #ifndef SASOS_FARM_WIRE_HH
@@ -32,7 +33,9 @@ namespace sasos::farm
  * checkpoint images of farm-sized machines are a few hundred KB). */
 constexpr u64 kMaxFrameBytes = u64{1} << 28;
 
-/** Every message crossing a farm pipe. */
+/** Every message crossing a farm pipe. Value 4 belonged to a retired
+ * out-of-band Preempt message and is rejected like any unknown kind;
+ * the other values are fixed by the checked-in frame corpus. */
 enum class MsgKind : u8
 {
     /** worker -> coordinator: ready for work. */
@@ -42,12 +45,9 @@ enum class MsgKind : u8
     /** coordinator -> worker: resume this cell from the attached
      * checkpoint image at the attached progress point. */
     Resume = 3,
-    /** coordinator -> worker: checkpoint the named cell at the next
-     * slice boundary, ship the image back and drop the cell. */
-    Preempt = 4,
-    /** worker -> coordinator: a checkpoint image (unsolicited every
-     * checkpointEvery references, or final after Preempt/SIGTERM,
-     * flagged by `stopped`). */
+    /** worker -> coordinator: a checkpoint image (every
+     * checkpointEvery references, or the one image of a preemptFirst
+     * order, flagged by `stopped`). */
     Image = 5,
     /** worker -> coordinator: the cell's finished CellResult. */
     Done = 6,
@@ -62,7 +62,7 @@ struct Message
     MsgKind kind = MsgKind::Hello;
     /** Hello: the worker's index in the farm. */
     u64 worker = 0;
-    /** Assign/Resume/Preempt/Image/Done: the cell's stable id. */
+    /** Assign/Resume/Image/Done: the cell's stable id. */
     u64 cell = 0;
     /** Assign/Resume: checkpoint cadence in references (0 = none). */
     u64 checkpointEvery = 0;
@@ -71,12 +71,10 @@ struct Message
     u64 completed = 0;
     u64 failed = 0;
     /** Assign/Resume: checkpoint once, ship it stopped, and drop the
-     * cell -- the planned-migration handle. Riding in the order
-     * itself makes seeded migration deterministic; a wire Preempt
-     * can instead race a fast cell's completion (and is then
-     * correctly ignored as stale). */
+     * cell -- the farm's one way to stop a running cell. Riding in
+     * the order itself makes seeded migration deterministic. */
     bool preemptFirst = false;
-    /** Image: the worker abandoned the cell (preempt or SIGTERM). */
+    /** Image: the worker dropped the cell (a preemptFirst order). */
     bool stopped = false;
     /** Resume/Image: a sealed snapshot image (snap envelope). */
     std::vector<u8> image;
@@ -87,9 +85,9 @@ struct Message
 /** Seal a message into one wire frame. */
 std::vector<u8> encodeMessage(const Message &message);
 
-/** Parse one frame. Every malformation -- bad envelope, unknown
- * kind, bad tag, trailing bytes, hostile counts -- is a SASOS_FATAL
- * naming the problem. */
+/** Parse one frame. Every malformation -- bad envelope, unknown or
+ * retired kind, bad tag, trailing bytes, hostile counts -- is a
+ * SASOS_FATAL naming the problem. */
 Message decodeMessage(const std::vector<u8> &frame);
 
 /**
@@ -140,9 +138,6 @@ bool writeFrame(int fd, const std::vector<u8> &frame);
 /** Read exactly one frame (blocking). Eof only at a frame boundary;
  * a mid-frame cut or malformed header is Error with `err` set. */
 ReadStatus readFrame(int fd, std::vector<u8> &frame, std::string &err);
-
-/** True when the fd has readable data (poll with zero timeout). */
-bool readableNow(int fd);
 /// @}
 
 } // namespace sasos::farm

@@ -1,7 +1,6 @@
 #include "farm/worker.hh"
 
 #include <csignal>
-#include <unistd.h>
 
 #include "farm/wire.hh"
 
@@ -10,59 +9,6 @@ namespace sasos::farm
 
 namespace
 {
-
-volatile std::sig_atomic_t g_sigterm = 0;
-
-void
-onSigterm(int)
-{
-    g_sigterm = 1;
-}
-
-/** A control frame consumed mid-cell; tells the cell loop what to do
- * with the execution it is holding. */
-struct CellVerdict
-{
-    bool preempt = false;
-    bool shutdown = false;
-};
-
-/** Drain any control frames that arrived while the slice ran.
- * Preempt only counts when it names the running cell -- a stale
- * preempt for a cell this worker already finished must not stop the
- * next one. */
-CellVerdict
-drainControl(int rfd, u64 running_cell)
-{
-    CellVerdict verdict;
-    std::string err;
-    while (!verdict.shutdown && readableNow(rfd)) {
-        std::vector<u8> frame;
-        const ReadStatus status = readFrame(rfd, frame, err);
-        if (status != ReadStatus::Frame) {
-            // Coordinator gone; no one is left to ship results to.
-            verdict.shutdown = true;
-            break;
-        }
-        const Message message = decodeMessage(frame);
-        switch (message.kind) {
-          case MsgKind::Preempt:
-            if (message.cell == running_cell)
-                verdict.preempt = true;
-            break;
-          case MsgKind::Shutdown:
-            verdict.shutdown = true;
-            break;
-          default:
-            SASOS_FATAL("farm worker got message kind ",
-                        static_cast<unsigned>(message.kind),
-                        " while running a cell");
-        }
-    }
-    if (g_sigterm)
-        verdict.preempt = true;
-    return verdict;
-}
 
 /** Ship a checkpoint of the running execution. */
 bool
@@ -79,11 +25,11 @@ sendImage(int wfd, const CellExecution &exec, bool stopped)
     return writeFrame(wfd, encodeMessage(message));
 }
 
-/** Run one assignment (fresh or resumed) to completion, preemption
- * or shutdown. @return false when the worker should exit. */
+/** Run one assignment (fresh or resumed) to completion, or to its
+ * first checkpoint when the order says preemptFirst. @return false
+ * when the coordinator is gone and the worker should exit. */
 bool
-serveCell(const Campaign &campaign, const Message &order, int rfd,
-          int wfd)
+serveCell(const Campaign &campaign, const Message &order, int wfd)
 {
     const SweepCell *cell = campaign.byId(order.cell);
     if (cell == nullptr)
@@ -101,26 +47,16 @@ serveCell(const Campaign &campaign, const Message &order, int rfd,
         exec = std::make_unique<CellExecution>(*cell, tid);
     }
 
-    // With no checkpoint cadence the whole cell is one slice; control
-    // frames are then only honored between cells.
+    // With no checkpoint cadence the whole cell is one slice.
     const u64 slice = order.checkpointEvery ? order.checkpointEvery
                                             : cell->references;
-    while (!exec->done()) {
-        exec->step(slice);
-        const CellVerdict verdict = drainControl(rfd, cell->id);
-        if (verdict.shutdown)
+    for (exec->step(slice); !exec->done(); exec->step(slice)) {
+        // A stopped image is the migration handle: the coordinator
+        // resumes the cell on another worker from exactly this point.
+        if (!sendImage(wfd, *exec, order.preemptFirst))
             return false;
-        if (exec->done())
-            break;
-        if (verdict.preempt || order.preemptFirst) {
-            // Final image, flagged stopped: the coordinator migrates
-            // the cell to another worker from exactly this point.
-            return sendImage(wfd, *exec, true);
-        }
-        if (order.checkpointEvery) {
-            if (!sendImage(wfd, *exec, false))
-                return false;
-        }
+        if (order.preemptFirst)
+            return true;
     }
 
     Message done;
@@ -138,9 +74,6 @@ workerMain(const Campaign &campaign, int rfd, int wfd, u64 worker)
     // The coordinator may vanish (or SIGKILL a sibling holding the
     // pipe); writes must fail with EPIPE, not kill the process.
     std::signal(SIGPIPE, SIG_IGN);
-    // SIGTERM is the out-of-band preempt: checkpoint at the next
-    // slice boundary, ship the image and keep serving.
-    std::signal(SIGTERM, onSigterm);
 
     Message hello;
     hello.kind = MsgKind::Hello;
@@ -162,19 +95,14 @@ workerMain(const Campaign &campaign, int rfd, int wfd, u64 worker)
             return 0;
           case MsgKind::Assign:
           case MsgKind::Resume:
-            if (!serveCell(campaign, message, rfd, wfd))
+            if (!serveCell(campaign, message, wfd))
                 return 0;
-            break;
-          case MsgKind::Preempt:
-            // Stale: the cell it names was already finished (its
-            // Done crossed the preempt on the wire). Ignore.
             break;
           default:
             SASOS_FATAL("farm worker ", worker,
                         " got unexpected message kind ",
                         static_cast<unsigned>(message.kind));
         }
-        g_sigterm = 0;
     }
 }
 

@@ -7,15 +7,16 @@
  *
  * The worker is a message loop over two inherited pipe fds: it
  * announces itself (Hello), then runs whatever cells the coordinator
- * assigns. With a checkpoint cadence it ships an unsolicited sealed
+ * assigns, one at a time. With a checkpoint cadence it ships a sealed
  * snapshot image every checkpointEvery references -- the
- * coordinator's resume point when this worker is killed, and its
- * migration handle when it preempts the cell. A Preempt request (or
- * SIGTERM, or a `preemptFirst` flag riding in the order itself) makes
- * the worker checkpoint at the next slice boundary, ship the image
- * flagged `stopped`, and drop the cell so another worker can resume
- * it; every path ends in results bit-identical to an uninterrupted
- * run, which the farm oracle enforces.
+ * coordinator's resume point when this worker is killed. An order
+ * flagged `preemptFirst` is the one way to stop a running cell: the
+ * worker ships its first image flagged `stopped` and drops the cell,
+ * so another worker can resume it. The worker reads no frame while a
+ * cell runs; a vanished coordinator shows at the next write, which
+ * fails with EPIPE (SIGPIPE is ignored), and the worker returns.
+ * Every path ends in results bit-identical to an uninterrupted run,
+ * which the farm oracle enforces.
  */
 
 #ifndef SASOS_FARM_WORKER_HH

@@ -76,7 +76,8 @@ const char *toString(EventKind kind);
 /** Chrome trace-event phase: 'B', 'E' or 'i' (instant). */
 char phaseOf(EventKind kind);
 
-/** One traced occurrence. 32 bytes; rings hold these by value. */
+/** One traced occurrence. 40 bytes (three u64s, two u32s and the
+ * kind, padded to 8); rings hold these by value. */
 struct Event
 {
     /** Simulated cycle (CycleAccount total) at emission. */
@@ -91,6 +92,7 @@ struct Event
     u32 seq = 0;
     EventKind kind = EventKind::AccessBegin;
 };
+static_assert(sizeof(Event) == 40, "an Event must be 40 bytes");
 
 } // namespace sasos::obs
 

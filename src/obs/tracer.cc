@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/perfetto.hh"
 #include "sim/logging.hh"
@@ -70,12 +71,17 @@ struct Ring
     }
 };
 
-/** All rings ever registered; rings are owned here and outlive their
- * threads so stopTracing can harvest parallelFor workers' events. */
+/** The rings of live threads, plus what exited threads left behind:
+ * a thread's ring is registered at its first emit and retired at its
+ * exit, its events and drop count moved here and the ring freed, so
+ * parallelFor's short-lived workers do not pile up rings. */
 struct Registry
 {
     std::mutex mutex;
     std::vector<std::unique_ptr<Ring>> rings;
+    /** Events and drops of threads that exited since startTracing. */
+    std::vector<Event> retired;
+    u64 retiredDropped = 0;
     u64 capacity = TracerConfig{}.bufferEvents;
 };
 
@@ -90,9 +96,27 @@ thread_local Ring *tlsRing = nullptr;
 thread_local u32 tlsTid = 0;
 thread_local u32 tlsSeq = 0;
 
+/** Retires the calling thread's ring when the thread exits. */
+struct RingRetirer
+{
+    ~RingRetirer()
+    {
+        Registry &reg = registry();
+        std::lock_guard<std::mutex> lock(reg.mutex);
+        tlsRing->extract(reg.retired);
+        reg.retiredDropped += tlsRing->dropped;
+        std::erase_if(reg.rings, [](const std::unique_ptr<Ring> &ring) {
+            return ring.get() == tlsRing;
+        });
+        tlsRing = nullptr;
+    }
+};
+
 Ring *
 registerThisThread()
 {
+    // Built on the thread's first emit, destroyed at its exit.
+    thread_local RingRetirer retirer;
     Registry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     reg.rings.push_back(std::make_unique<Ring>());
@@ -134,6 +158,8 @@ startTracing(const TracerConfig &config)
     reg.capacity = config.bufferEvents;
     for (auto &ring : reg.rings)
         ring->reset(config.bufferEvents);
+    reg.retired = {};
+    reg.retiredDropped = 0;
     detail::enabledFlag.store(true, std::memory_order_relaxed);
 }
 
@@ -143,7 +169,8 @@ stopTracing()
     detail::enabledFlag.store(false, std::memory_order_relaxed);
     Registry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    std::vector<Event> merged;
+    std::vector<Event> merged = std::exchange(reg.retired, {});
+    reg.retiredDropped = 0;
     for (const auto &ring : reg.rings) {
         ring->extract(merged);
         // Drain on stop: a later stopTracing (or one with no
@@ -151,8 +178,9 @@ stopTracing()
         ring->reset(ring->capacity);
     }
     // (cycle, tid, seq) is a total order: all of one tid's events come
-    // from one ring (per-thread seq strictly increases), so ties are
-    // impossible and the merge is identical whatever threads= was.
+    // from one thread (per-thread seq strictly increases), so ties are
+    // impossible and, with no drops, the merge is identical whatever
+    // threads= was.
     std::sort(merged.begin(), merged.end(),
               [](const Event &a, const Event &b) {
                   if (a.cycle != b.cycle)
@@ -174,10 +202,18 @@ droppedEvents()
 {
     Registry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    u64 total = 0;
+    u64 total = reg.retiredDropped;
     for (const auto &ring : reg.rings)
         total += ring->dropped;
     return total;
+}
+
+std::size_t
+detail::liveRings()
+{
+    Registry &reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    return reg.rings.size();
 }
 
 ScopedTrace::ScopedTrace(const Options &options)

@@ -5,15 +5,16 @@
  * Emission is a single predicted branch when tracing is disabled (the
  * SASOS_OBS_EVENT macro evaluates none of its arguments), and when
  * enabled appends into a thread-local ring: no locks, no allocation
- * and no formatting on the hot path. Rings are registered once per
- * OS thread; a full ring overwrites its oldest event and counts the
- * drop, so tracing never stalls the simulation.
+ * and no formatting on the hot path. A ring is registered at an OS
+ * thread's first emit and freed when the thread exits, its events
+ * kept for the next merge; a full ring overwrites its oldest event
+ * and counts the drop, so tracing never stalls the simulation.
  *
  * Events carry a *logical* thread id (sweep cell index, set via
  * setThreadId) rather than the OS thread, and a per-emission sequence
  * number, so stopTracing() can merge all rings into one stream
  * ordered by (cycle, tid, seq) -- bit-identical whatever the worker
- * count that ran the cells.
+ * count that ran the cells, as long as no ring overflowed.
  *
  * start/stop must not race with emission: enable tracing before
  * issuing references and stop it after the workers have drained,
@@ -47,6 +48,9 @@ struct TracerConfig
 namespace detail
 {
 extern std::atomic<bool> enabledFlag;
+
+/** Rings of threads that emitted and have not exited (for tests). */
+std::size_t liveRings();
 } // namespace detail
 
 /** True while a trace session is collecting events. */
@@ -80,9 +84,13 @@ void setThreadId(u32 tid);
 void startTracing(const TracerConfig &config = {});
 
 /**
- * Stop collecting and merge every thread's ring into one stream,
- * ordered by (cycle, tid, seq); seq is renumbered 0..n-1 within each
- * tid so the merge is reproducible across worker counts.
+ * Stop collecting and merge every thread's ring, and the events of
+ * threads that exited meanwhile, into one stream ordered by (cycle,
+ * tid, seq); seq is renumbered 0..n-1 within each tid so the merge is
+ * reproducible across worker counts -- but only while
+ * droppedEvents() == 0. A ring is per OS thread, so which events an
+ * overflow drops, and how many survive, depends on how the work was
+ * spread over threads.
  */
 std::vector<Event> stopTracing();
 

@@ -71,8 +71,9 @@ Pager::evictOne()
 vm::Vpn
 Pager::chooseVictim()
 {
-    // One-pass clock: prefer an unreferenced page; remember the first
-    // mapped page as a fallback and age the referenced bits we pass.
+    // One pass over the page table: the first unreferenced page, or
+    // else the first mapped page. Only the victim's usage bits are
+    // cleared; the referenced bits of the pages passed stay set.
     std::optional<vm::Vpn> unreferenced;
     std::optional<vm::Vpn> any;
     auto &table = kernel_.state().pageTable;

@@ -51,9 +51,9 @@ class Pager
     void pageIn(vm::Vpn vpn);
 
     /**
-     * Free one frame under memory pressure: pick a victim by a clock
-     * scan over the page table (unreferenced pages first) and page
-     * it out.
+     * Free one frame under memory pressure: pick a victim by one
+     * pass over the page table (the first unreferenced page, else
+     * the first mapped one) and page it out.
      */
     void evictOne();
 

@@ -12,13 +12,13 @@
  * the next tag instead of silently misinterpreting payload.
  *
  * SnapReader treats the image as untrusted input: the envelope
- * (magic, version, payload length, checksum64) is validated
- * before any payload byte is interpreted, every read is bounds
- * checked, counts are sanity checked against the bytes remaining
- * before any allocation, and every violation is a SASOS_FATAL with a
- * message naming what was wrong -- truncation, corruption or hostile
- * length fields end the process (or reach the installed fatal
- * handler), never undefined behaviour.
+ * (magic, version, payload length, checksum64) is validated by
+ * preflightEnvelope before any payload byte is interpreted, every
+ * read is bounds checked, counts are sanity checked against the bytes
+ * remaining before any allocation, and every violation is a
+ * SASOS_FATAL with a message naming what was wrong -- truncation,
+ * corruption or hostile length fields end the process (or reach the
+ * installed fatal handler), never undefined behaviour.
  */
 
 #ifndef SASOS_SNAP_SNAPIO_HH
@@ -163,31 +163,42 @@ checksum64(const u8 *data, std::size_t size)
 }
 
 /**
- * Non-fatal envelope validation, for images that arrive over an
- * untrusted transport (the sweep farm's worker pipes) and must be
- * rejected *without* ending the receiving process: a coordinator
+ * The envelope check, the only one: SnapReader's constructor fatals
+ * with its text, and images that arrive over an untrusted transport
+ * (the sweep farm's worker pipes) call it directly so a bad one is
+ * rejected *without* ending the receiving process -- a coordinator
  * preflights every checkpoint image before accepting it as a resume
  * point and again before handing it to another worker. Returns an
- * empty string when the envelope is well-formed, else a description
- * of the first violation. Mirrors the SnapReader constructor's
- * checks exactly; payload sections are still validated by the
- * restore-side cross-checks.
+ * empty string when the envelope (size, magic, version, reserved
+ * field, payload length, checksum64) is well-formed, else a
+ * description of the first violation. Payload sections are validated
+ * by the reader's bounds checks and the restore-side cross-checks.
  */
 inline std::string
-preflightEnvelope(const std::vector<u8> &image)
+preflightEnvelope(std::span<const u8> image)
 {
     if (image.size() > kMaxImageBytes)
-        return "image larger than the maximum";
+        return "image of " + std::to_string(image.size()) +
+               " bytes is larger than the " +
+               std::to_string(kMaxImageBytes) + "-byte maximum";
     if (image.size() < kHeaderBytes)
-        return "image smaller than the header";
+        return "image truncated: " + std::to_string(image.size()) +
+               " bytes is smaller than the " +
+               std::to_string(kHeaderBytes) + "-byte header";
     if (std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0)
         return "bad magic";
-    if (loadLe<u32>(image.data() + 8) != kFormatVersion)
-        return "unsupported format version";
+    const u32 version = loadLe<u32>(image.data() + 8);
+    if (version != kFormatVersion)
+        return "unsupported format version " + std::to_string(version) +
+               " (this build reads version " +
+               std::to_string(kFormatVersion) + ")";
     if (loadLe<u32>(image.data() + 12) != 0)
         return "nonzero reserved header field";
-    if (loadLe<u64>(image.data() + 16) != image.size() - kHeaderBytes)
-        return "length field does not match the payload";
+    const u64 length = loadLe<u64>(image.data() + 16);
+    if (length != image.size() - kHeaderBytes)
+        return "header claims " + std::to_string(length) +
+               " payload bytes, image carries " +
+               std::to_string(image.size() - kHeaderBytes);
     if (loadLe<u64>(image.data() + 24) !=
         checksum64(image.data() + kHeaderBytes,
                    image.size() - kHeaderBytes))
@@ -422,34 +433,11 @@ class SnapReader
 
   private:
     void
-    validate()
+    validate() const
     {
-        if (image_.size() > kMaxImageBytes)
-            SASOS_FATAL("snapshot larger than ", kMaxImageBytes, " bytes");
-        if (image_.size() < kHeaderBytes)
-            SASOS_FATAL("snapshot truncated: ", image_.size(),
-                        " bytes is smaller than the ", kHeaderBytes,
-                        "-byte header");
-        if (std::memcmp(image_.data(), kMagic, sizeof(kMagic)) != 0)
-            SASOS_FATAL("not a snapshot: bad magic");
-        const u32 version = loadLe<u32>(image_.data() + 8);
-        if (version != kFormatVersion)
-            SASOS_FATAL("unsupported snapshot version ", version,
-                        " (this build reads version ", kFormatVersion,
-                        ")");
-        if (loadLe<u32>(image_.data() + 12) != 0)
-            SASOS_FATAL("corrupt snapshot: nonzero reserved header field");
-        const u64 length = loadLe<u64>(image_.data() + 16);
-        if (length != image_.size() - kHeaderBytes)
-            SASOS_FATAL("corrupt snapshot: header claims ", length,
-                        " payload bytes, file carries ",
-                        image_.size() - kHeaderBytes);
-        const u64 checksum = loadLe<u64>(image_.data() + 24);
-        const u64 actual = checksum64(image_.data() + kHeaderBytes,
-                                      image_.size() - kHeaderBytes);
-        if (checksum != actual)
-            SASOS_FATAL("corrupt snapshot: checksum mismatch");
-        pos_ = kHeaderBytes;
+        const std::string bad = preflightEnvelope(image_);
+        if (!bad.empty())
+            SASOS_FATAL("snapshot rejected: ", bad);
     }
 
     /** One bounds check per fixed-width field. */

@@ -142,6 +142,12 @@ expectIdentical(const std::vector<farm::CellResult> &serial,
             << "cell id " << serial[i].id << " (" << serial[i].model
             << ") diverged from the serial run";
     }
+    // Chaos kills and migrations are not faults of the protocol: a
+    // healthy farm never sees a duplicate, a poisoned frame or a
+    // corrupt image, however many workers it loses.
+    EXPECT_EQ(farmed.stats.duplicateResults, 0u);
+    EXPECT_EQ(farmed.stats.poisonedFrames, 0u);
+    EXPECT_EQ(farmed.stats.rejectedImages, 0u);
 }
 
 } // namespace
@@ -343,13 +349,6 @@ TEST(WireTest, EveryKindRoundTrips)
     EXPECT_EQ(back.refsDone, 2000u);
     EXPECT_EQ(back.image, resume.image);
 
-    farm::Message preempt;
-    preempt.kind = farm::MsgKind::Preempt;
-    preempt.cell = 9;
-    back = farm::decodeMessage(farm::encodeMessage(preempt));
-    EXPECT_EQ(back.kind, farm::MsgKind::Preempt);
-    EXPECT_EQ(back.cell, 9u);
-
     farm::Message image;
     image.kind = farm::MsgKind::Image;
     image.cell = 2;
@@ -472,10 +471,17 @@ TEST(WireCorruptionTest, TrailingBytesAreRejected)
 TEST(WireCorruptionTest, UnknownKindIsRejected)
 {
     ScopedFatalThrow bridge;
-    snap::SnapWriter w;
-    w.putTag("farm.msg");
-    w.put8(99); // Not a MsgKind.
-    EXPECT_THROW(farm::decodeMessage(std::move(w).seal()), FatalRejection);
+    // 0 and 8 border the valid range, 4 is the retired Preempt kind
+    // inside it, 99 is far out.
+    for (const u8 kind : {u8{0}, u8{4}, u8{8}, u8{99}}) {
+        snap::SnapWriter w;
+        w.putTag("farm.msg");
+        w.put8(kind);
+        w.put64(0); // The cell id a Preempt carried.
+        EXPECT_THROW(farm::decodeMessage(std::move(w).seal()),
+                     FatalRejection)
+            << "kind " << unsigned{kind};
+    }
 }
 
 TEST(WireCorruptionTest, WrongTagIsRejected)
@@ -779,7 +785,6 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
         {"farm_frame_hello.bin", farm::MsgKind::Hello},
         {"farm_frame_assign.bin", farm::MsgKind::Assign},
         {"farm_frame_resume.bin", farm::MsgKind::Resume},
-        {"farm_frame_preempt.bin", farm::MsgKind::Preempt},
         {"farm_frame_image.bin", farm::MsgKind::Image},
         {"farm_frame_done.bin", farm::MsgKind::Done},
         {"farm_frame_shutdown.bin", farm::MsgKind::Shutdown},
@@ -821,11 +826,6 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
         resume.failed = exec.failed();
         resume.image = snap;
         write("farm_frame_resume.bin", resume);
-
-        farm::Message preempt;
-        preempt.kind = farm::MsgKind::Preempt;
-        preempt.cell = 0;
-        write("farm_frame_preempt.bin", preempt);
 
         farm::Message image;
         image.kind = farm::MsgKind::Image;
@@ -870,9 +870,9 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
 
 // ---------------------------------------------------------------------
 // Direct worker-protocol round trip: drive workerMain over real pipes
-// from the test, covering the wire Preempt path (the out-of-band
-// analog of SIGTERM) and the stale-preempt guard the coordinator's
-// deterministic preemptFirst path no longer exercises.
+// from the test, covering what a farm run does not show -- a stopped
+// cell resumed on the worker that stopped it (the coordinator prefers
+// another) and the worker's exit status after Shutdown.
 
 namespace
 {
@@ -940,94 +940,12 @@ struct WorkerHarness
 
 } // namespace
 
-TEST(WorkerProtocolTest, PreemptResumeStalePreemptAndShutdown)
-{
-    const farm::Campaign campaign(
-        std::vector<farm::SweepCell>{makeCell(1, 4000), makeCell(2, 3000)});
-    const std::vector<farm::CellResult> serial =
-        farm::SweepRunner(1).run(campaign);
-
-    WorkerHarness worker(campaign);
-    ASSERT_GT(worker.pid, 0);
-
-    farm::Message message;
-    ASSERT_TRUE(worker.recv(message));
-    EXPECT_EQ(message.kind, farm::MsgKind::Hello);
-
-    // Assign cell 0 with a checkpoint cadence, then preempt it over
-    // the wire mid-cell.
-    farm::Message assign;
-    assign.kind = farm::MsgKind::Assign;
-    assign.cell = 0;
-    assign.checkpointEvery = 500;
-    ASSERT_TRUE(worker.send(assign));
-
-    ASSERT_TRUE(worker.recv(message));
-    ASSERT_EQ(message.kind, farm::MsgKind::Image);
-    EXPECT_FALSE(message.stopped);
-    EXPECT_EQ(message.refsDone, 500u);
-
-    farm::Message preempt;
-    preempt.kind = farm::MsgKind::Preempt;
-    preempt.cell = 0;
-    ASSERT_TRUE(worker.send(preempt));
-
-    // The worker drains control at slice boundaries, so a few more
-    // unstopped images may cross the preempt on the wire; the next
-    // boundary after it lands ships the image flagged stopped.
-    farm::Message stopped;
-    do {
-        ASSERT_TRUE(worker.recv(stopped));
-        ASSERT_EQ(stopped.kind, farm::MsgKind::Image);
-    } while (!stopped.stopped);
-    EXPECT_LT(stopped.refsDone, campaign.cells()[0].references);
-
-    // Resume the preempted cell from its stopped image on the same
-    // worker; the finished result must match the serial run.
-    farm::Message resume;
-    resume.kind = farm::MsgKind::Resume;
-    resume.cell = 0;
-    resume.checkpointEvery = 0; // No more images: straight to Done.
-    resume.refsDone = stopped.refsDone;
-    resume.completed = stopped.completed;
-    resume.failed = stopped.failed;
-    resume.image = stopped.image;
-    ASSERT_TRUE(worker.send(resume));
-
-    ASSERT_TRUE(worker.recv(message));
-    ASSERT_EQ(message.kind, farm::MsgKind::Done);
-    EXPECT_EQ(message.result.statsDump, serial[0].statsDump);
-    EXPECT_EQ(message.result.simCycles, serial[0].simCycles);
-
-    // A stale preempt naming the finished cell must not disturb the
-    // next assignment.
-    ASSERT_TRUE(worker.send(preempt));
-    farm::Message assignNext;
-    assignNext.kind = farm::MsgKind::Assign;
-    assignNext.cell = 1;
-    assignNext.checkpointEvery = 0;
-    ASSERT_TRUE(worker.send(assignNext));
-
-    ASSERT_TRUE(worker.recv(message));
-    ASSERT_EQ(message.kind, farm::MsgKind::Done);
-    EXPECT_EQ(message.result.id, 1u);
-    EXPECT_EQ(message.result.statsDump, serial[1].statsDump);
-
-    farm::Message shutdown;
-    shutdown.kind = farm::MsgKind::Shutdown;
-    ASSERT_TRUE(worker.send(shutdown));
-
-    int status = 0;
-    ASSERT_EQ(::waitpid(worker.pid, &status, 0), worker.pid);
-    worker.pid = -1;
-    EXPECT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
 TEST(WorkerProtocolTest, PreemptFirstOrderStopsAtFirstCheckpoint)
 {
     const farm::Campaign campaign(
         std::vector<farm::SweepCell>{makeCell(1, 4000)});
+    const std::vector<farm::CellResult> serial =
+        farm::SweepRunner(1).run(campaign);
     WorkerHarness worker(campaign);
     ASSERT_GT(worker.pid, 0);
 
@@ -1044,10 +962,37 @@ TEST(WorkerProtocolTest, PreemptFirstOrderStopsAtFirstCheckpoint)
 
     // Deterministic: exactly one image, flagged stopped, at the
     // first slice boundary.
-    ASSERT_TRUE(worker.recv(message));
-    ASSERT_EQ(message.kind, farm::MsgKind::Image);
-    EXPECT_TRUE(message.stopped);
-    EXPECT_EQ(message.refsDone, 1000u);
+    farm::Message stopped;
+    ASSERT_TRUE(worker.recv(stopped));
+    ASSERT_EQ(stopped.kind, farm::MsgKind::Image);
+    EXPECT_TRUE(stopped.stopped);
+    EXPECT_EQ(stopped.refsDone, 1000u);
 
-    // EOF (closing our ends) is a clean shutdown for the worker.
+    // Resume the stopped cell from its image on the same worker; the
+    // finished result must match the serial run.
+    farm::Message resume;
+    resume.kind = farm::MsgKind::Resume;
+    resume.cell = 0;
+    resume.checkpointEvery = 0; // No more images: straight to Done.
+    resume.refsDone = stopped.refsDone;
+    resume.completed = stopped.completed;
+    resume.failed = stopped.failed;
+    resume.image = stopped.image;
+    ASSERT_TRUE(worker.send(resume));
+
+    ASSERT_TRUE(worker.recv(message));
+    ASSERT_EQ(message.kind, farm::MsgKind::Done);
+    EXPECT_EQ(message.result.id, 0u);
+    EXPECT_EQ(message.result.statsDump, serial[0].statsDump);
+    EXPECT_EQ(message.result.simCycles, serial[0].simCycles);
+
+    farm::Message shutdown;
+    shutdown.kind = farm::MsgKind::Shutdown;
+    ASSERT_TRUE(worker.send(shutdown));
+
+    int status = 0;
+    ASSERT_EQ(::waitpid(worker.pid, &status, 0), worker.pid);
+    worker.pid = -1;
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }

@@ -2,7 +2,7 @@
  * @file
  * Tests for the observability layer: the per-thread ring tracer
  * (wrap/overflow accounting, deterministic merge across worker
- * counts), the Perfetto JSON schema of emitted traces, the
+ * counts, rings freed as worker threads exit), the Perfetto JSON schema of emitted traces, the
  * event-vs-stats reconciliation, the streaming JSON writer, and the
  * machine-readable stats exporters.
  *
@@ -30,6 +30,7 @@
 #include "obs/tracer.hh"
 #include "sasos.hh"
 #include "farm/campaign.hh"
+#include "sim/parallel.hh"
 #include "workload/address_stream.hh"
 
 #include "temp_path.hh"
@@ -446,6 +447,40 @@ TEST(ObsMergeTest, SweepTraceIsIdenticalAcrossThreadCounts)
     for (const obs::Event &event : serial)
         tids.insert(event.tid);
     EXPECT_EQ(tids.size(), cells.size());
+}
+
+TEST(ObsMergeTest, ExitedWorkersFreeTheirRingsAndKeepTheirEvents)
+{
+    TracingGuard guard;
+    // Each index emits as its own logical thread, the way sweep cells
+    // do; parallelFor starts fresh OS threads on every call.
+    auto traceRound = [](unsigned threads) {
+        // Room for all 400 events in one ring, as threads=1 needs.
+        obs::startTracing({.bufferEvents = 512});
+        parallelFor(threads, 4, [](u64 i) {
+            obs::setThreadId(static_cast<u32>(i) + 1);
+            for (u64 k = 0; k < 100; ++k)
+                obs::emit(obs::EventKind::TlbHit, /*cycle=*/k * 4 + i, i, k);
+        });
+        EXPECT_EQ(obs::droppedEvents(), 0u);
+        return obs::stopTracing();
+    };
+
+    const std::vector<obs::Event> serial = traceRound(1);
+    ASSERT_EQ(serial.size(), 400u);
+    const std::size_t rings = obs::detail::liveRings();
+    for (int round = 0; round < 5; ++round) {
+        const std::vector<obs::Event> parallel = traceRound(4);
+        ASSERT_EQ(parallel.size(), serial.size()) << "round " << round;
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(parallel[i].cycle, serial[i].cycle) << "at " << i;
+            EXPECT_EQ(parallel[i].tid, serial[i].tid) << "at " << i;
+            EXPECT_EQ(parallel[i].seq, serial[i].seq) << "at " << i;
+            EXPECT_EQ(parallel[i].arg, serial[i].arg) << "at " << i;
+        }
+        // The round's workers have exited; their rings are gone.
+        EXPECT_EQ(obs::detail::liveRings(), rings) << "round " << round;
+    }
 }
 
 TEST(ObsMergeTest, MergeOrdersByCycleThenTidAndRenumbersSeq)

@@ -18,7 +18,7 @@
  *  - Population: the analytic space report cross-checked entry for
  *    entry against the real vm::ProtectionTable and
  *    vm::LinearPageTableModel at small N, plus the segment-allocator
- *    stress invariants and the farm's adaptive checkpoint cadence.
+ *    stress invariants.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@
 
 #include "core/mc/explorer.hh"
 #include "core/mc/mc_system.hh"
-#include "farm/coordinator.hh"
 #include "hw/cluster_plb.hh"
 #include "scale/population.hh"
 #include "scale/storm.hh"
@@ -604,38 +603,3 @@ TEST(PopulationTest, SegmentAllocatorSurvivesChurn)
     EXPECT_EQ(report.creates - report.destroys, report.liveAtEnd);
 }
 
-// ---------------------------------------------------------------------
-// Farm: the adaptive checkpoint cadence
-
-TEST(FarmAdaptiveTest, CadenceTracksObservedKillRate)
-{
-    // Disabled checkpointing stays disabled.
-    EXPECT_EQ(farm::adaptiveCheckpointEvery(0, 100, 50), 0u);
-    // A farm that never loses a worker keeps the sparse base cadence.
-    EXPECT_EQ(farm::adaptiveCheckpointEvery(8000, 0, 0), 8000u);
-    EXPECT_EQ(farm::adaptiveCheckpointEvery(8000, 500, 0), 8000u);
-    // Deaths tighten the cadence monotonically...
-    u64 previous = 8000;
-    for (u64 deaths = 1; deaths <= 64; deaths *= 2) {
-        const u64 every = farm::adaptiveCheckpointEvery(8000, 16, deaths);
-        EXPECT_LE(every, previous) << deaths;
-        EXPECT_GE(every, 1000u) << deaths; // floor = base/8
-        previous = every;
-    }
-    // ...down to the base/8 floor, never to zero.
-    EXPECT_EQ(farm::adaptiveCheckpointEvery(8000, 0, 1000), 1000u);
-    EXPECT_EQ(farm::adaptiveCheckpointEvery(4, 0, 1000), 1u);
-    // A heavily assigned farm with few deaths barely tightens.
-    EXPECT_GT(farm::adaptiveCheckpointEvery(8000, 10000, 1), 7900u);
-}
-
-TEST(FarmAdaptiveTest, OptionWiresThrough)
-{
-    Options options;
-    options.set("farm_adaptive", "1");
-    options.set("farm_checkpoint_every", "5000");
-    const farm::FarmOptions parsed = farm::FarmOptions::fromOptions(options);
-    EXPECT_TRUE(parsed.adaptiveCheckpoint);
-    EXPECT_EQ(parsed.checkpointEvery, 5000u);
-    EXPECT_FALSE(farm::FarmOptions::fromOptions(Options{}).adaptiveCheckpoint);
-}
