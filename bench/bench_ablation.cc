@@ -233,27 +233,7 @@ printPlbCapacitySweep(const Options &options)
     (void)options;
 }
 
-void
-BM_AblationRpc(benchmark::State &state, u64 trap_cost)
-{
-    core::SystemConfig config = core::SystemConfig::plbSystem();
-    config.costs.set("kernelTrap", trap_cost);
-    wl::RpcConfig rpc;
-    rpc.calls = 100;
-    u64 sim_cycles = 0;
-    for (auto _ : state) {
-        core::System sys(config);
-        sim_cycles += wl::RpcWorkload(rpc).run(sys).cycles.total().count();
-    }
-    state.counters["simCycles"] = static_cast<double>(sim_cycles);
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_AblationRpc, cheapTrap, 50)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AblationRpc, expensiveTrap, 800)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

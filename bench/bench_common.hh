@@ -2,16 +2,13 @@
  * @file
  * Shared plumbing for the bench binaries.
  *
- * Every bench prints its paper-artifact table(s) first, then runs its
- * registered google-benchmark timings (which carry simulated-cycle
- * counters). Options of the form key=value are consumed before
- * google-benchmark sees argv.
+ * Every bench prints its paper-artifact table(s) from key=value
+ * options; none times the host (perfbench/ is the host-speed
+ * benchmark).
  */
 
 #ifndef SASOS_BENCH_BENCH_COMMON_HH
 #define SASOS_BENCH_BENCH_COMMON_HH
-
-#include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <fstream>
@@ -30,8 +27,8 @@ namespace sasos::bench
 /**
  * The shared bench main(): parse key=value options, honor help=1,
  * run the paper tables under an Options-driven trace session
- * (trace=/trace_out=/trace_buf=), then the registered
- * google-benchmark timings. Returns the body's status.
+ * (trace=/trace_out=/trace_buf=), then warn on stderr for every key
+ * the body never read. Returns the body's status.
  */
 inline int
 runMain(int argc, char **argv,
@@ -45,14 +42,11 @@ runMain(int argc, char **argv,
     }
     int status = 0;
     {
-        // The trace session closes (and writes its JSON) before the
-        // google-benchmark timings run, so timing loops never trace.
         obs::ScopedTrace trace(options);
         status = body(options);
     }
-    std::cout << "\n";
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    for (const std::string &key : options.unusedKeys())
+        warn("option '", key, "' was never used");
     return status;
 }
 

@@ -165,39 +165,7 @@ printRpcComparison(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_RpcCall(benchmark::State &state, core::ModelKind kind, bool purge)
-{
-    core::SystemConfig config = core::SystemConfig::forModel(kind);
-    config.purgeTlbOnSwitch = purge;
-    wl::RpcConfig rpc;
-    rpc.calls = 200;
-    u64 sim_cycles = 0;
-    u64 calls = 0;
-    for (auto _ : state) {
-        core::System sys(config);
-        const wl::RpcResult result = wl::RpcWorkload(rpc).run(sys);
-        sim_cycles += result.cycles.total().count();
-        calls += result.calls;
-    }
-    state.counters["simCyclesPerCall"] =
-        calls ? static_cast<double>(sim_cycles) /
-                    static_cast<double>(calls)
-              : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_RpcCall, plb, core::ModelKind::Plb, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RpcCall, pagegroup, core::ModelKind::PageGroup, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RpcCall, conv_asid, core::ModelKind::Conventional,
-                  false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RpcCall, conv_purge, core::ModelKind::Conventional,
-                  true)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

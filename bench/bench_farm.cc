@@ -29,7 +29,6 @@
 #include "bench_common.hh"
 #include "farm/campaign.hh"
 #include "farm/coordinator.hh"
-#include "farm/wire.hh"
 #include "obs/json.hh"
 #include "sim/table.hh"
 
@@ -262,56 +261,7 @@ runFarmBench(const Options &options)
     return ok ? 0 : 1;
 }
 
-/** Host cost of sealing + parsing one worker Done frame. */
-void
-BM_FrameEncodeDecode(benchmark::State &state)
-{
-    farm::Message done;
-    done.kind = farm::MsgKind::Done;
-    done.cell = 42;
-    done.result.id = 42;
-    done.result.model = "plb";
-    done.result.workload = "zipf";
-    done.result.seed = 3;
-    done.result.references = 200'000;
-    done.result.completed = 199'000;
-    done.result.failed = 1'000;
-    done.result.simCycles = 1'234'567;
-    done.result.statsDump = std::string(4096, 's');
-    for (auto _ : state) {
-        const std::vector<u8> frame = farm::encodeMessage(done);
-        const farm::Message back = farm::decodeMessage(frame);
-        benchmark::DoNotOptimize(back.result.statsDump.data());
-    }
-}
-
-/** Host cost of one mid-cell worker checkpoint image. */
-void
-BM_WorkerCheckpoint(benchmark::State &state)
-{
-    farm::SweepCell cell;
-    cell.id = 0;
-    cell.model = "plb";
-    cell.workload = "zipf";
-    cell.seed = 1;
-    cell.config = core::SystemConfig::plbSystem();
-    cell.references = 100'000;
-    cell.makeStream = farm::standardStreams()[2].second;
-    farm::CellExecution exec(cell, 1);
-    exec.step(50'000);
-    u64 bytes = 0;
-    for (auto _ : state) {
-        const snap::Snapshot image = exec.checkpoint();
-        bytes = image.bytes.size();
-        benchmark::DoNotOptimize(image.bytes.data());
-    }
-    state.counters["imageBytes"] = static_cast<double>(bytes);
-}
-
 } // namespace
-
-BENCHMARK(BM_FrameEncodeDecode)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_WorkerCheckpoint)->Unit(benchmark::kMicrosecond);
 
 int
 main(int argc, char **argv)

@@ -26,7 +26,6 @@
 
 #include "fault/oracle.hh"
 #include "obs/json.hh"
-#include "workload/address_stream.hh"
 
 using namespace sasos;
 
@@ -198,44 +197,7 @@ runCampaigns(const Options &options)
     return 0;
 }
 
-/** Host cost of the injection hook itself: the same reference loop
- * with the injector disabled vs drawing at a real rate. */
-void
-BM_InjectionOverhead(benchmark::State &state, core::ModelKind kind,
-                     bool faults)
-{
-    core::SystemConfig config = core::SystemConfig::forModel(kind);
-    config.faults.enabled = faults;
-    config.faults.rate = 0.01;
-    core::System sys(config);
-    const os::DomainId app = sys.kernel().createDomain("app");
-    const vm::SegmentId seg = sys.kernel().createSegment("heap", 256);
-    sys.kernel().attach(app, seg, vm::Access::ReadWrite);
-    sys.kernel().switchTo(app);
-    const vm::VAddr base = sys.state().segments.find(seg)->base();
-    wl::ZipfPageStream stream(base, 256, 0.8, 7);
-    Rng rng(7);
-    u64 refs = 0;
-    for (auto _ : state) {
-        sys.run(stream, 10'000, rng);
-        refs += 10'000;
-    }
-    state.counters["refsPerSec"] = benchmark::Counter(
-        static_cast<double>(refs), benchmark::Counter::kIsRate);
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_InjectionOverhead, plb_clean, core::ModelKind::Plb,
-                  false);
-BENCHMARK_CAPTURE(BM_InjectionOverhead, plb_faults, core::ModelKind::Plb,
-                  true);
-BENCHMARK_CAPTURE(BM_InjectionOverhead, pagegroup_faults,
-                  core::ModelKind::PageGroup, true);
-BENCHMARK_CAPTURE(BM_InjectionOverhead, conventional_faults,
-                  core::ModelKind::Conventional, true);
-BENCHMARK_CAPTURE(BM_InjectionOverhead, pkey_faults,
-                  core::ModelKind::Pkey, true);
 
 int
 main(int argc, char **argv)

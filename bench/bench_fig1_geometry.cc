@@ -9,10 +9,6 @@
  *  - C1: a virtually tagged cache is ~10% larger than a physically
  *    tagged one at the paper's parameters (64-bit VA, 36-bit PA,
  *    32-byte lines).
- *
- * The google-benchmark section times the simulator's PLB and TLB
- * lookup paths (host ns; the simulated machine charges its own
- * cycles).
  */
 
 #include "bench_common.hh"
@@ -105,54 +101,7 @@ printCacheOverhead()
     table.print(std::cout);
 }
 
-void
-BM_PlbLookupHit(benchmark::State &state)
-{
-    stats::Group root("bench");
-    hw::PlbConfig config;
-    config.ways = static_cast<std::size_t>(state.range(0));
-    hw::Plb plb(config, &root);
-    Rng rng(7);
-    for (std::size_t i = 0; i < config.ways; ++i) {
-        plb.insert(static_cast<hw::DomainId>(1 + i % 4),
-                   vm::VAddr(i * vm::kPageBytes), vm::kPageShift,
-                   vm::Access::ReadWrite);
-    }
-    u64 found = 0;
-    for (auto _ : state) {
-        const u64 i = rng.nextBelow(config.ways);
-        auto match = plb.lookup(static_cast<hw::DomainId>(1 + i % 4),
-                                vm::VAddr(i * vm::kPageBytes));
-        found += match.has_value();
-    }
-    benchmark::DoNotOptimize(found);
-    state.counters["entries"] =
-        static_cast<double>(config.ways);
-}
-
-void
-BM_PageGroupCheck(benchmark::State &state)
-{
-    stats::Group root("bench");
-    hw::PageGroupCacheConfig config;
-    config.entries = static_cast<std::size_t>(state.range(0));
-    hw::PageGroupCache cache(config, &root);
-    for (std::size_t g = 1; g <= config.entries; ++g)
-        cache.insert(static_cast<hw::GroupId>(g));
-    Rng rng(9);
-    u64 found = 0;
-    for (auto _ : state) {
-        const auto aid =
-            static_cast<hw::GroupId>(1 + rng.nextBelow(config.entries));
-        found += cache.lookup(aid).has_value();
-    }
-    benchmark::DoNotOptimize(found);
-}
-
 } // namespace
-
-BENCHMARK(BM_PlbLookupHit)->Arg(64)->Arg(128)->Arg(1024);
-BENCHMARK(BM_PageGroupCheck)->Arg(4)->Arg(16)->Arg(64);
 
 int
 main(int argc, char **argv)

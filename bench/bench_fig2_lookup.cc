@@ -13,8 +13,7 @@
  *     page-group cache grows, while the PLB stays one access deep;
  *  2. a functional check that both paths grant exactly the rights
  *     the kernel intends (the Figure 2 semantics: AID match, group 0,
- *     write-disable bit), plus host-time microbenchmarks of the two
- *     simulated access paths.
+ *     write-disable bit).
  */
 
 #include "bench_common.hh"
@@ -109,38 +108,7 @@ printCheckSemantics()
     table.print(std::cout);
 }
 
-void
-BM_SimulatedAccessPath(benchmark::State &state, core::ModelKind kind)
-{
-    core::SystemConfig config = core::SystemConfig::forModel(kind);
-    core::System sys(config);
-    auto &kernel = sys.kernel();
-    const os::DomainId d = kernel.createDomain("d");
-    const vm::SegmentId seg = kernel.createSegment("s", 64);
-    kernel.attach(d, seg, vm::Access::ReadWrite);
-    const vm::VAddr base = sys.state().segments.find(seg)->base();
-    sys.touchRange(base, 64 * vm::kPageBytes); // warm everything
-    Rng rng(5);
-
-    const u64 cycles_before = sys.cycles().count();
-    u64 refs = 0;
-    for (auto _ : state) {
-        sys.load(base + rng.nextBelow(64 * vm::kPageBytes));
-        ++refs;
-    }
-    state.counters["simCyclesPerRef"] =
-        refs ? static_cast<double>(sys.cycles().count() - cycles_before) /
-                   static_cast<double>(refs)
-             : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_SimulatedAccessPath, plb, core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_SimulatedAccessPath, pagegroup,
-                  core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_SimulatedAccessPath, conventional,
-                  core::ModelKind::Conventional);
 
 int
 main(int argc, char **argv)

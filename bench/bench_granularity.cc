@@ -182,35 +182,7 @@ printLockDensityTable(const Options &options)
                  "motivation for 128-byte lock bits).\n";
 }
 
-void
-BM_MultiSizeLookup(benchmark::State &state, int size_classes)
-{
-    stats::Group root("bench");
-    hw::PlbConfig config;
-    config.sizeShifts = {vm::kPageShift};
-    for (int c = 1; c < size_classes; ++c)
-        config.sizeShifts.push_back(vm::kPageShift + 2 * c);
-    hw::Plb plb(config, &root);
-    for (u64 i = 0; i < 64; ++i) {
-        plb.insert(1, vm::VAddr(i * vm::kPageBytes), vm::kPageShift,
-                   vm::Access::ReadWrite);
-    }
-    Rng rng(17);
-    u64 found = 0;
-    for (auto _ : state) {
-        found += plb.lookup(1, vm::VAddr(rng.nextBelow(64) *
-                                         vm::kPageBytes))
-                     .has_value();
-    }
-    benchmark::DoNotOptimize(found);
-    state.counters["sizeClasses"] = size_classes;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_MultiSizeLookup, one, 1);
-BENCHMARK_CAPTURE(BM_MultiSizeLookup, four, 4);
-BENCHMARK_CAPTURE(BM_MultiSizeLookup, eight, 8);
 
 int
 main(int argc, char **argv)

@@ -211,39 +211,7 @@ writeMcJson(const std::string &path, const std::vector<McRow> &rows,
     inform("wrote ", path);
 }
 
-void
-BM_McRun(benchmark::State &state, core::ModelKind kind)
-{
-    const unsigned cores = static_cast<unsigned>(state.range(0));
-    u64 cycles = 0;
-    u64 refs = 0;
-    for (auto _ : state) {
-        core::mc::McConfig config;
-        config.system = core::SystemConfig::forModel(kind);
-        config.cores = cores;
-        config.workload.stepsPerCore = 500;
-        config.workload.churnProb = 0.05;
-        config.workload.seed = config.system.seed;
-        core::mc::McSystem system(config);
-        const core::mc::McResult result = system.run();
-        cycles += result.cycles;
-        refs += result.completed + result.failed;
-    }
-    state.counters["simCyclesPerRef"] =
-        refs ? static_cast<double>(cycles) / static_cast<double>(refs)
-             : 0.0;
-    state.counters["cores"] = cores;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_McRun, plb, core::ModelKind::Plb)->Arg(1)->Arg(4);
-BENCHMARK_CAPTURE(BM_McRun, pagegroup, core::ModelKind::PageGroup)
-    ->Arg(1)
-    ->Arg(4);
-BENCHMARK_CAPTURE(BM_McRun, conventional, core::ModelKind::Conventional)
-    ->Arg(1)
-    ->Arg(4);
 
 int
 main(int argc, char **argv)

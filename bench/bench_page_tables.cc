@@ -137,25 +137,7 @@ printSparsityTable(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_GlobalPageTableLookup(benchmark::State &state)
-{
-    vm::GlobalPageTable table;
-    const u64 pages = static_cast<u64>(state.range(0));
-    for (u64 p = 0; p < pages; ++p)
-        table.map(vm::Vpn(p * 1000), vm::Pfn(p));
-    Rng rng(23);
-    u64 found = 0;
-    for (auto _ : state)
-        found += table.lookup(vm::Vpn(rng.nextBelow(pages) * 1000)) !=
-                 nullptr;
-    benchmark::DoNotOptimize(found);
-    state.counters["pages"] = static_cast<double>(pages);
-}
-
 } // namespace
-
-BENCHMARK(BM_GlobalPageTableLookup)->Arg(1 << 10)->Arg(1 << 16);
 
 int
 main(int argc, char **argv)

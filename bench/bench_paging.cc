@@ -119,41 +119,7 @@ printExclusionCost(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_PageOutIn(benchmark::State &state, core::ModelKind kind)
-{
-    core::System sys(core::SystemConfig::forModel(kind));
-    auto &kernel = sys.kernel();
-    os::Pager &pager = sys.makePager(os::PagerConfig{true});
-    const os::DomainId d = kernel.createDomain("app");
-    const vm::SegmentId seg = kernel.createSegment("s", 4);
-    kernel.attach(d, seg, vm::Access::ReadWrite);
-    kernel.attach(pager.domainId(), seg, vm::Access::ReadWrite);
-    kernel.switchTo(d);
-    const vm::VAddr base = sys.state().segments.find(seg)->base();
-    sys.store(base);
-
-    const u64 before = sys.cycles().count();
-    u64 ops = 0;
-    for (auto _ : state) {
-        pager.pageOut(vm::pageOf(base));
-        pager.pageIn(vm::pageOf(base));
-        ops += 2;
-    }
-    state.counters["simCyclesPerOpExclIo"] =
-        ops ? static_cast<double>(
-                  sys.account().totalExcludingIo().count()) /
-                  static_cast<double>(ops)
-            : 0.0;
-    (void)before;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_PageOutIn, plb, core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_PageOutIn, pagegroup, core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_PageOutIn, conventional,
-                  core::ModelKind::Conventional);
 
 int
 main(int argc, char **argv)

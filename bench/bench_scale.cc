@@ -311,26 +311,7 @@ writeScaleJson(const std::string &path,
     inform("wrote ", path);
 }
 
-void
-BM_ClusteredStorm(benchmark::State &state)
-{
-    const unsigned cores = static_cast<unsigned>(state.range(0));
-    u64 cycles = 0;
-    for (auto _ : state) {
-        core::mc::McConfig config =
-            scale::clusteredStormConfig(cores, 50, 1, 8);
-        config.coalesceWindow = 4;
-        config.checkInvariants = false;
-        core::mc::McSystem system(config);
-        cycles += system.run().cycles;
-    }
-    state.counters["cores"] = cores;
-    state.counters["simCycles"] = static_cast<double>(cycles);
-}
-
 } // namespace
-
-BENCHMARK(BM_ClusteredStorm)->Arg(16)->Arg(64);
 
 int
 main(int argc, char **argv)

@@ -156,46 +156,7 @@ runScenarios(const Options &options)
     return 0;
 }
 
-/** Host + simulated cost of one full scenario replay per iteration. */
-void
-BM_Scenario(benchmark::State &state, const char *which,
-            core::ModelKind kind)
-{
-    scn::Script script;
-    if (std::string(which) == "fork") {
-        script = scn::buildForkScript(scn::ForkConfig{});
-    } else if (std::string(which) == "portal") {
-        script = scn::buildPortalScript(scn::PortalConfig{});
-    } else {
-        scn::ServerMixConfig mix;
-        mix.waves = 2;
-        script = scn::buildServerMixScript(mix);
-    }
-    u64 cycles = 0;
-    u64 refs = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        scn::runScript(sys, script);
-        cycles += sys.cycles().count();
-        refs += script.refs;
-    }
-    state.counters["simCyclesPerRef"] =
-        refs > 0 ? static_cast<double>(cycles) / static_cast<double>(refs)
-                 : 0.0;
-    state.counters["refsPerSec"] = benchmark::Counter(
-        static_cast<double>(refs), benchmark::Counter::kIsRate);
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_Scenario, fork_plb, "fork", core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_Scenario, fork_pagegroup, "fork",
-                  core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_Scenario, fork_conventional, "fork",
-                  core::ModelKind::Conventional);
-BENCHMARK_CAPTURE(BM_Scenario, fork_pkey, "fork", core::ModelKind::Pkey);
-BENCHMARK_CAPTURE(BM_Scenario, portal_plb, "portal", core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_Scenario, servermix_plb, "mix", core::ModelKind::Plb);
 
 int
 main(int argc, char **argv)

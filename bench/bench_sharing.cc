@@ -126,37 +126,7 @@ printRegimeCrossover(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_SharingRun(benchmark::State &state, core::ModelKind kind, u64 domains)
-{
-    wl::SharingConfig sharing;
-    sharing.domains = domains;
-    sharing.quanta = 40;
-    sharing.refsPerQuantum = 50;
-    u64 sim_cycles = 0;
-    u64 refs = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        const wl::SharingResult result =
-            wl::SharingWorkload(sharing).run(sys);
-        sim_cycles += result.cycles.total().count();
-        refs += result.references;
-    }
-    state.counters["simCyclesPerRef"] =
-        refs ? static_cast<double>(sim_cycles) / static_cast<double>(refs)
-             : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_SharingRun, plb_d8, core::ModelKind::Plb, 8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SharingRun, pagegroup_d8, core::ModelKind::PageGroup,
-                  8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SharingRun, conventional_d8,
-                  core::ModelKind::Conventional, 8)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -142,50 +142,7 @@ printSmpDvmTable(const Options &options)
                  "timesharing one CPU by exactly the shootdown tax.\n";
 }
 
-void
-BM_SmpRestrict(benchmark::State &state, core::ModelKind kind)
-{
-    const unsigned cpus = static_cast<unsigned>(state.range(0));
-    core::SmpSystem sys(core::SystemConfig::forModel(kind), cpus);
-    std::vector<os::DomainId> nodes;
-    for (unsigned n = 0; n < cpus; ++n)
-        nodes.push_back(
-            sys.kernel().createDomain("n" + std::to_string(n)));
-    const vm::SegmentId seg = sys.kernel().createSegment("s", 4);
-    for (os::DomainId node : nodes)
-        sys.kernel().attach(node, seg, vm::Access::ReadWrite);
-    const vm::VAddr base = sys.state().segments.find(seg)->base();
-    for (unsigned cpu = 0; cpu < cpus; ++cpu) {
-        sys.runOn(cpu, nodes[cpu]);
-        sys.store(base);
-    }
-    sys.runOn(0, nodes[0]);
-    const u64 before = sys.cycles().count();
-    u64 ops = 0;
-    for (auto _ : state) {
-        sys.kernel().restrictPage(vm::pageOf(base), vm::Access::None);
-        sys.kernel().unrestrictPage(vm::pageOf(base));
-        ops += 2;
-    }
-    state.counters["simCyclesPerOp"] =
-        ops ? static_cast<double>(sys.cycles().count() - before) /
-                  static_cast<double>(ops)
-            : 0.0;
-    state.counters["cpus"] = cpus;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_SmpRestrict, plb, core::ModelKind::Plb)
-    ->Arg(1)
-    ->Arg(4);
-BENCHMARK_CAPTURE(BM_SmpRestrict, pagegroup, core::ModelKind::PageGroup)
-    ->Arg(1)
-    ->Arg(4);
-BENCHMARK_CAPTURE(BM_SmpRestrict, conventional,
-                  core::ModelKind::Conventional)
-    ->Arg(1)
-    ->Arg(4);
 
 int
 main(int argc, char **argv)

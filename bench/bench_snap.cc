@@ -554,58 +554,7 @@ runSnapBench(const Options &options)
     return ok ? 0 : 1;
 }
 
-/** Host cost of sealing one warmed single-core image. */
-void
-BM_SnapshotSave(benchmark::State &state)
-{
-    core::System sys(core::SystemConfig::plbSystem());
-    const vm::VAddr base = setupHeap(sys);
-    Rng rng(kOracleSeed);
-    wl::ZipfPageStream stream(base, kOraclePages, 0.8, kOracleSeed);
-    sys.run(stream, 100'000, rng);
-    u64 bytes = 0;
-    for (auto _ : state) {
-        snap::Snapshotter snapper;
-        snapper.add(sys);
-        snapper.add(rng);
-        const snap::Snapshot image = std::move(snapper).finish();
-        bytes = image.bytes.size();
-        benchmark::DoNotOptimize(image.bytes.data());
-    }
-    state.counters["imageBytes"] = static_cast<double>(bytes);
-}
-
-/** Host cost of validating + overlaying that image. */
-void
-BM_SnapshotRestore(benchmark::State &state)
-{
-    core::System sys(core::SystemConfig::plbSystem());
-    const vm::VAddr base = setupHeap(sys);
-    Rng rng(kOracleSeed);
-    wl::ZipfPageStream stream(base, kOraclePages, 0.8, kOracleSeed);
-    sys.run(stream, 100'000, rng);
-    snap::Snapshotter snapper;
-    snapper.add(sys);
-    snapper.add(rng);
-    const snap::Snapshot image = std::move(snapper).finish();
-
-    core::System target(core::SystemConfig::plbSystem());
-    setupHeap(target);
-    Rng targetRng(1);
-    for (auto _ : state) {
-        snap::Restorer restorer(image);
-        restorer.restore(target);
-        restorer.restore(targetRng);
-        restorer.finish();
-    }
-    state.counters["imageBytes"] =
-        static_cast<double>(image.bytes.size());
-}
-
 } // namespace
-
-BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
 
 int
 main(int argc, char **argv)

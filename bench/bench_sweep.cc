@@ -226,58 +226,7 @@ runSweep(const Options &options)
     return identical ? 0 : 1;
 }
 
-/** Host time of System::run vs per-call access(): the same references
- * through System::run and through an access() loop. */
-void
-BM_SystemRun(benchmark::State &state, core::ModelKind kind)
-{
-    core::System sys(core::SystemConfig::forModel(kind));
-    const os::DomainId app = sys.kernel().createDomain("app");
-    const vm::SegmentId seg = sys.kernel().createSegment("heap", 256);
-    sys.kernel().attach(app, seg, vm::Access::ReadWrite);
-    sys.kernel().switchTo(app);
-    const vm::VAddr base = sys.state().segments.find(seg)->base();
-    wl::ZipfPageStream stream(base, 256, 0.8, 7);
-    Rng rng(7);
-    u64 refs = 0;
-    for (auto _ : state) {
-        sys.run(stream, 10'000, rng);
-        refs += 10'000;
-    }
-    state.counters["refsPerSec"] = benchmark::Counter(
-        static_cast<double>(refs), benchmark::Counter::kIsRate);
-}
-
-void
-BM_PerCallAccess(benchmark::State &state, core::ModelKind kind)
-{
-    core::System sys(core::SystemConfig::forModel(kind));
-    const os::DomainId app = sys.kernel().createDomain("app");
-    const vm::SegmentId seg = sys.kernel().createSegment("heap", 256);
-    sys.kernel().attach(app, seg, vm::Access::ReadWrite);
-    sys.kernel().switchTo(app);
-    const vm::VAddr base = sys.state().segments.find(seg)->base();
-    wl::ZipfPageStream stream(base, 256, 0.8, 7);
-    Rng rng(7);
-    u64 refs = 0;
-    for (auto _ : state) {
-        for (u64 i = 0; i < 10'000; ++i)
-            sys.load(stream.next(rng));
-        refs += 10'000;
-    }
-    state.counters["refsPerSec"] = benchmark::Counter(
-        static_cast<double>(refs), benchmark::Counter::kIsRate);
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_SystemRun, plb, core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_PerCallAccess, plb, core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_SystemRun, pagegroup, core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_PerCallAccess, pagegroup, core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_SystemRun, conventional, core::ModelKind::Conventional);
-BENCHMARK_CAPTURE(BM_PerCallAccess, conventional,
-                  core::ModelKind::Conventional);
 
 int
 main(int argc, char **argv)

@@ -124,36 +124,7 @@ printChurnTable(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_AttachDetachChurn(benchmark::State &state, core::ModelKind kind)
-{
-    wl::AttachChurnConfig churn;
-    churn.episodes = 50;
-    u64 sim_cycles = 0;
-    u64 episodes = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        const wl::AttachChurnResult result =
-            wl::AttachChurnWorkload(churn).run(sys);
-        sim_cycles += result.cycles.total().count();
-        episodes += result.episodes;
-    }
-    state.counters["simCyclesPerEpisode"] =
-        episodes ? static_cast<double>(sim_cycles) /
-                       static_cast<double>(episodes)
-                 : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_AttachDetachChurn, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AttachDetachChurn, pagegroup,
-                  core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AttachDetachChurn, conventional,
-                  core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -94,37 +94,7 @@ printRestrictScaling(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_CheckpointRun(benchmark::State &state, core::ModelKind kind)
-{
-    wl::CheckpointConfig ckpt;
-    ckpt.checkpoints = 2;
-    ckpt.dataPages = 32;
-    ckpt.refsBetween = 800;
-    u64 sim_cycles = 0;
-    u64 checkpoints = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        const wl::CheckpointResult result =
-            wl::CheckpointWorkload(ckpt).run(sys);
-        sim_cycles += result.cycles.totalExcludingIo().count();
-        checkpoints += result.checkpoints;
-    }
-    state.counters["simCyclesPerCkpt"] =
-        checkpoints ? static_cast<double>(sim_cycles) /
-                          static_cast<double>(checkpoints)
-                    : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_CheckpointRun, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CheckpointRun, pagegroup, core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CheckpointRun, conventional,
-                  core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

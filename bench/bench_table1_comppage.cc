@@ -98,39 +98,7 @@ printPerOperationBreakdown(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_CompPageRun(benchmark::State &state, core::ModelKind kind)
-{
-    wl::CompPageConfig cp;
-    cp.dataPages = 128;
-    cp.frames = 64;
-    cp.references = 4000;
-    u64 sim_cycles = 0;
-    u64 paging_ops = 0;
-    for (auto _ : state) {
-        core::SystemConfig config = core::SystemConfig::forModel(kind);
-        config.frames = cp.frames;
-        core::System sys(config);
-        const wl::CompPageResult result =
-            wl::CompPageWorkload(cp).run(sys);
-        sim_cycles += result.cycles.totalExcludingIo().count();
-        paging_ops += result.pageIns + result.pageOuts;
-    }
-    state.counters["simCyclesPerPagingOp"] =
-        paging_ops ? static_cast<double>(sim_cycles) /
-                         static_cast<double>(paging_ops)
-                   : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_CompPageRun, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CompPageRun, pagegroup, core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CompPageRun, conventional,
-                  core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -95,34 +95,7 @@ printContentionSweep(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_DvmRun(benchmark::State &state, core::ModelKind kind)
-{
-    wl::DvmConfig dvm;
-    dvm.quanta = 60;
-    dvm.refsPerQuantum = 50;
-    u64 sim_cycles = 0;
-    u64 episodes = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        const wl::DvmResult result = wl::DvmWorkload(dvm).run(sys);
-        sim_cycles += result.cycles.totalExcludingIo().count();
-        episodes += result.readFaults + result.writeFaults;
-    }
-    state.counters["simCyclesPerEpisode"] =
-        episodes ? static_cast<double>(sim_cycles) /
-                       static_cast<double>(episodes)
-                 : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_DvmRun, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DvmRun, pagegroup, core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_DvmRun, conventional, core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -108,35 +108,7 @@ printFlipScalingTable(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_GcRun(benchmark::State &state, core::ModelKind kind)
-{
-    wl::GcConfig gc;
-    gc.collections = 3;
-    gc.spacePages = 32;
-    gc.allocsPerCollection = 64;
-    gc.refsPerAlloc = 8;
-    u64 sim_cycles = 0;
-    u64 flips = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        const wl::GcResult result = wl::GcWorkload(gc).run(sys);
-        sim_cycles += result.cycles.totalExcludingIo().count();
-        flips += result.flips;
-    }
-    state.counters["simCyclesPerFlip"] =
-        flips ? static_cast<double>(sim_cycles) / static_cast<double>(flips)
-              : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_GcRun, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GcRun, pagegroup, core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GcRun, conventional, core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

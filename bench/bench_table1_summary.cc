@@ -235,25 +235,7 @@ printTable1(const Options &options)
                  "per-application benches for the full workloads.\n";
 }
 
-void
-BM_Table1Row(benchmark::State &state, core::ModelKind kind)
-{
-    u64 sim_cycles = 0;
-    for (auto _ : state) {
-        Scenario scenario(core::SystemConfig::forModel(kind));
-        sim_cycles += scenario.measure([](Scenario &s) {
-            s.sys.kernel().setPageRights(s.app, vm::pageOf(s.base),
-                                         vm::Access::Read);
-        });
-    }
-    state.counters["simCyclesLockRead"] = static_cast<double>(sim_cycles);
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_Table1Row, plb, core::ModelKind::Plb);
-BENCHMARK_CAPTURE(BM_Table1Row, pagegroup, core::ModelKind::PageGroup);
-BENCHMARK_CAPTURE(BM_Table1Row, conventional, core::ModelKind::Conventional);
 
 int
 main(int argc, char **argv)

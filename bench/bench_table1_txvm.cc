@@ -107,33 +107,7 @@ printGroupPressureSweep(const Options &options)
                  "same locks as in-place entry updates.\n";
 }
 
-void
-BM_TxvmRun(benchmark::State &state, core::ModelKind kind)
-{
-    wl::TxvmConfig tx;
-    tx.commits = 30;
-    u64 sim_cycles = 0;
-    u64 commits = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        const wl::TxvmResult result = wl::TxvmWorkload(tx).run(sys);
-        sim_cycles += result.cycles.total().count();
-        commits += result.commits;
-    }
-    state.counters["simCyclesPerCommit"] =
-        commits ? static_cast<double>(sim_cycles) /
-                      static_cast<double>(commits)
-                : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_TxvmRun, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TxvmRun, pagegroup, core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_TxvmRun, conventional, core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

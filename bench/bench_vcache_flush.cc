@@ -161,34 +161,7 @@ printSharingQuantum(const Options &options)
     table.print(std::cout);
 }
 
-void
-BM_VcacheRpc(benchmark::State &state, bool flush_on_switch)
-{
-    core::SystemConfig config =
-        flush_on_switch ? core::SystemConfig::flushingVcacheSystem()
-                        : core::SystemConfig::plbSystem();
-    wl::RpcConfig rpc;
-    rpc.calls = 150;
-    u64 sim_cycles = 0;
-    u64 calls = 0;
-    for (auto _ : state) {
-        core::System sys(config);
-        const wl::RpcResult result = wl::RpcWorkload(rpc).run(sys);
-        sim_cycles += result.cycles.total().count();
-        calls += result.calls;
-    }
-    state.counters["simCyclesPerCall"] =
-        calls ? static_cast<double>(sim_cycles) /
-                    static_cast<double>(calls)
-              : 0.0;
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_VcacheRpc, sasos_vivt, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_VcacheRpc, multias_flush, true)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -154,29 +154,7 @@ printGrandTable(const Options &options)
                  "common.\" -- no model dominates every row.\n";
 }
 
-void
-BM_FullSuite(benchmark::State &state, core::ModelKind kind)
-{
-    u64 sim_cycles = 0;
-    for (auto _ : state) {
-        core::System sys(core::SystemConfig::forModel(kind));
-        wl::RpcConfig rpc;
-        rpc.calls = 100;
-        sim_cycles +=
-            wl::RpcWorkload(rpc).run(sys).cycles.total().count();
-    }
-    state.counters["simCycles"] = static_cast<double>(sim_cycles);
-}
-
 } // namespace
-
-BENCHMARK_CAPTURE(BM_FullSuite, plb, core::ModelKind::Plb)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullSuite, pagegroup, core::ModelKind::PageGroup)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullSuite, conventional,
-                  core::ModelKind::Conventional)
-    ->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <fcntl.h>
+#include <limits>
 #include <memory>
 #include <poll.h>
 #include <stdexcept>
@@ -28,16 +29,36 @@ FarmOptions
 FarmOptions::fromOptions(const Options &options)
 {
     FarmOptions o;
-    o.workers =
-        static_cast<unsigned>(options.getU64("farm_workers", o.workers));
+    const u64 workers = options.getU64("farm_workers", o.workers);
+    if (workers > 1024) {
+        SASOS_FATAL("option 'farm_workers': must be at most 1024, got ",
+                    workers);
+    }
+    o.workers = static_cast<unsigned>(workers);
     o.checkpointEvery =
         options.getU64("farm_checkpoint_every", o.checkpointEvery);
-    o.killRate = options.getDouble("farm_kill_rate", o.killRate);
-    o.migrateRate = options.getDouble("farm_migrate_rate", o.migrateRate);
+    const auto probability = [&](const char *key, double def) {
+        const double p = options.getDouble(key, def);
+        if (!(p >= 0.0 && p <= 1.0))
+            SASOS_FATAL("option '", key, "': must be in [0, 1], got ", p);
+        return p;
+    };
+    o.killRate = probability("farm_kill_rate", o.killRate);
+    o.migrateRate = probability("farm_migrate_rate", o.migrateRate);
     o.killSeed = options.getU64("farm_kill_seed", o.killSeed);
     o.timeoutSec = options.getDouble("farm_timeout", o.timeoutSec);
-    o.maxAttempts = static_cast<unsigned>(
-        options.getU64("farm_max_attempts", o.maxAttempts));
+    if (!(o.timeoutSec > 0.0)) {
+        SASOS_FATAL("option 'farm_timeout': must be above 0, got ",
+                    o.timeoutSec);
+    }
+    const u64 attempts =
+        options.getU64("farm_max_attempts", o.maxAttempts);
+    if (attempts == 0 || attempts > std::numeric_limits<unsigned>::max()) {
+        SASOS_FATAL("option 'farm_max_attempts': must be in [1, ",
+                    std::numeric_limits<unsigned>::max(), "], got ",
+                    attempts);
+    }
+    o.maxAttempts = static_cast<unsigned>(attempts);
     return o;
 }
 

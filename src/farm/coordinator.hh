@@ -70,6 +70,9 @@ struct FarmOptions
     /** Give up on a cell after this many attempts. */
     unsigned maxAttempts = 8;
 
+    /** Read the farm_* keys. Fatal: farm_workers above 1024 (the
+     * threads=/cores= bound), a rate outside [0, 1], farm_timeout
+     * not above 0, farm_max_attempts of 0 or beyond unsigned. */
     static FarmOptions fromOptions(const Options &options);
 };
 

@@ -1,7 +1,7 @@
 #include "sim/options.hh"
 
+#include <cctype>
 #include <cstdlib>
-#include <cstring>
 
 #include "sim/cost_model.hh"
 #include "sim/logging.hh"
@@ -13,13 +13,16 @@ namespace sasos
 namespace
 {
 
-/** True if arg looks like key=value with a plausible key. */
+/** True if arg is key=value whose key starts with a letter or digit
+ * and holds only letters, digits, '.', '_' and '-'. */
 bool
 splitKeyValue(const std::string &arg, std::string &key, std::string &value)
 {
     const auto eq = arg.find('=');
-    if (eq == std::string::npos || eq == 0)
+    if (eq == std::string::npos ||
+        !std::isalnum(static_cast<unsigned char>(arg[0]))) {
         return false;
+    }
     key = arg.substr(0, eq);
     for (char c : key) {
         if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' &&
@@ -34,23 +37,14 @@ splitKeyValue(const std::string &arg, std::string &key, std::string &value)
 } // namespace
 
 void
-Options::parseArgs(int &argc, char **argv)
+Options::parseArgs(int argc, char **argv)
 {
-    int out = 1;
-    for (int in = 1; in < argc; ++in) {
-        std::string arg = argv[in];
-        if (arg.rfind("--sasos-", 0) == 0)
-            arg = arg.substr(std::strlen("--sasos-"));
+    for (int i = 1; i < argc; ++i) {
         std::string key, value;
-        // Only swallow args that parse as key=value and do not look
-        // like a flag for another parser (e.g. --benchmark_filter=x).
-        if (arg.rfind("--", 0) != 0 && splitKeyValue(arg, key, value)) {
-            values_[key] = value;
-        } else {
-            argv[out++] = argv[in];
-        }
+        if (!splitKeyValue(argv[i], key, value))
+            SASOS_FATAL("argument '", argv[i], "' is not key=value");
+        values_[key] = value;
     }
-    argc = out;
 }
 
 void
@@ -130,7 +124,7 @@ Options::threads() const
 const char *
 Options::helpText()
 {
-    return "common options (key=value or --sasos-key=value):\n"
+    return "common options (every argument is key=value):\n"
            "  model=plb|pg|conv      protection architecture preset\n"
            "  threads=N              sweep worker threads, at most 1024\n"
            "                         (default: hardware concurrency;\n"

@@ -2,11 +2,11 @@
  * @file
  * Minimal key=value option handling for benches and examples.
  *
- * Recognizes arguments of the form `--sasos-<key>=<value>` (or bare
- * `<key>=<value>`), removes them from argv so that downstream parsers
- * (e.g. google-benchmark) never see them, and exposes typed getters
- * with defaults. Unrecognized keys are kept and reported so typos do
- * not silently fall back to defaults.
+ * Every command-line argument must have the form `<key>=<value>`;
+ * anything else (a bare word, a `--flag`) is fatal. Typed getters
+ * return defaults for absent keys, and keys no getter consumed are
+ * reported (unusedKeys()) so typos do not silently fall back to
+ * defaults.
  */
 
 #ifndef SASOS_SIM_OPTIONS_HH
@@ -31,12 +31,11 @@ class Options
     Options() = default;
 
     /**
-     * Extract sasos options from argv, compacting it in place.
-     * @param argc updated argument count.
-     * @param argv updated argument vector (entries are shuffled, not
-     *             freed).
+     * Parse argv[1..argc) as key=value options. An argument that is
+     * not key=value (the key starts with a letter or digit) is fatal
+     * and the message names it.
      */
-    void parseArgs(int &argc, char **argv);
+    void parseArgs(int argc, char **argv);
 
     /** Insert or replace a single key. */
     void set(const std::string &key, const std::string &value);

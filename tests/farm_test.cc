@@ -770,6 +770,73 @@ TEST(FarmTest, WarmStartCellsFarmIdentically)
     expectIdentical(serial, farm::runFarm(campaign, options));
 }
 
+TEST(FarmWatchdogTest, SilentCellTimesOutUntilItsAttemptsRunOut)
+{
+    // Without checkpoints a worker says nothing until its cell is
+    // done, and this cell runs for seconds: the watchdog must kill
+    // every attempt, and the third assignment gives the cell up.
+    const farm::Campaign campaign(
+        std::vector<farm::SweepCell>{makeCell(1, 1'000'000'000)});
+    farm::FarmOptions options;
+    options.workers = 1;
+    options.checkpointEvery = 0;
+    options.timeoutSec = 0.2;
+    options.maxAttempts = 2;
+    const farm::FarmResult farmed = farm::runFarm(campaign, options);
+    EXPECT_FALSE(farmed.ok);
+    EXPECT_NE(farmed.error.find("exceeded 2 attempts"), std::string::npos)
+        << farmed.error;
+    EXPECT_EQ(farmed.stats.retries, 2u);
+    // A fresh worker can also time out before its Hello arrives, so
+    // only the lower bound is exact; every death is a timeout.
+    EXPECT_GE(farmed.stats.timeouts, 2u);
+    EXPECT_EQ(farmed.stats.deaths, farmed.stats.timeouts);
+    EXPECT_EQ(farmed.stats.chaosKills, 0u);
+    EXPECT_EQ(farmed.stats.duplicateResults, 0u);
+    EXPECT_EQ(farmed.stats.poisonedFrames, 0u);
+    EXPECT_EQ(farmed.stats.rejectedImages, 0u);
+}
+
+TEST(FarmOptionsTest, OutOfRangeKnobsAreFatal)
+{
+    // Only parses the keys: a rejected worker count must never reach
+    // a fork, and 2^32 + 1 must not wrap to one worker.
+    const std::pair<const char *, const char *> bad[] = {
+        {"farm_workers", "1025"},
+        {"farm_workers", "100000"},
+        {"farm_workers", "4294967297"},
+        {"farm_max_attempts", "0"},
+        {"farm_max_attempts", "4294967296"},
+        {"farm_kill_rate", "-0.1"},
+        {"farm_kill_rate", "1.5"},
+        {"farm_migrate_rate", "2"},
+        {"farm_migrate_rate", "nan"},
+        {"farm_timeout", "0"},
+        {"farm_timeout", "-1"},
+    };
+    for (const auto &[key, value] : bad) {
+        Options options;
+        options.set(key, value);
+        EXPECT_EXIT((void)farm::FarmOptions::fromOptions(options),
+                    ::testing::ExitedWithCode(1),
+                    std::string("option '") + key + "'")
+            << key << "=" << value;
+    }
+
+    Options options;
+    options.set("farm_workers", "1024");
+    options.set("farm_max_attempts", "4294967295");
+    options.set("farm_kill_rate", "0");
+    options.set("farm_migrate_rate", "1");
+    options.set("farm_timeout", "0.5");
+    const farm::FarmOptions o = farm::FarmOptions::fromOptions(options);
+    EXPECT_EQ(o.workers, 1024u);
+    EXPECT_EQ(o.maxAttempts, 4294967295u);
+    EXPECT_EQ(o.killRate, 0.0);
+    EXPECT_EQ(o.migrateRate, 1.0);
+    EXPECT_EQ(o.timeoutSec, 0.5);
+}
+
 // ---------------------------------------------------------------------
 // The checked-in wire-frame corpus: golden decode check and the
 // farm_fuzz seed corpus in one. SASOS_GOLDEN_REGEN=1 regenerates.

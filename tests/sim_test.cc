@@ -310,22 +310,39 @@ TEST(CostModelTest, NamesCoverEveryConstant)
     }
 }
 
-TEST(OptionsTest, ParsesKeyValueAndCompactsArgv)
+TEST(OptionsTest, ParsesEveryArgumentAsKeyValue)
 {
-    const char *raw[] = {"prog", "calls=10", "--benchmark_filter=x",
-                         "--sasos-seed=7", "theta=0.5"};
-    char *argv[5];
-    for (int i = 0; i < 5; ++i)
+    const char *raw[] = {"prog", "calls=10", "cost.kernelTrap=5",
+                         "theta=0.5", "seed=1", "seed=7"};
+    char *argv[6];
+    for (int i = 0; i < 6; ++i)
         argv[i] = const_cast<char *>(raw[i]);
-    int argc = 5;
 
     Options options;
-    options.parseArgs(argc, argv);
-    EXPECT_EQ(argc, 2); // prog + the benchmark flag survive
-    EXPECT_STREQ(argv[1], "--benchmark_filter=x");
+    options.parseArgs(6, argv);
     EXPECT_EQ(options.getU64("calls", 0), 10u);
-    EXPECT_EQ(options.getU64("seed", 0), 7u);
+    EXPECT_EQ(options.getU64("seed", 0), 7u); // the last one wins
     EXPECT_DOUBLE_EQ(options.getDouble("theta", 0), 0.5);
+    EXPECT_TRUE(options.has("cost.kernelTrap"));
+    EXPECT_STREQ(argv[1], "calls=10"); // argv is left as it was
+}
+
+TEST(OptionsTest, AnyOtherArgumentIsFatalAndNamed)
+{
+    // Flags, bare words and keyless values each stop the program,
+    // naming the argument.
+    for (const char *arg : {"--threads=4", "--sasos-seed=7",
+                            "verbose", "=5", "-v"}) {
+        const char *raw[] = {"prog", "calls=10", arg};
+        char *argv[3];
+        for (int i = 0; i < 3; ++i)
+            argv[i] = const_cast<char *>(raw[i]);
+        Options options;
+        EXPECT_EXIT(options.parseArgs(3, argv),
+                    ::testing::ExitedWithCode(1),
+                    std::string("argument '") + arg + "' is not key=value")
+            << arg;
+    }
 }
 
 TEST(OptionsTest, TypedGettersUseDefaults)
