@@ -5,7 +5,7 @@
  * Table 1 "Concurrent Garbage Collection" rows live: the flip cost
  * and the per-page scan faults.
  *
- * Run: ./concurrent_gc [model=plb|pg|conv] [collections=N] ...
+ * Run: ./concurrent_gc [model=plb|pg|conv|pkey] [collections=N] ...
  */
 
 #include <cstdio>

@@ -5,7 +5,7 @@
  * a protection domain; get-readable/get-writable/invalidate episodes
  * are counted and costed on the chosen architecture.
  *
- * Run: ./dsm_node [model=plb|pg|conv] [nodes=N] [sharedPages=N] ...
+ * Run: ./dsm_node [model=plb|pg|conv|pkey] [nodes=N] [sharedPages=N] ...
  */
 
 #include <cstdio>

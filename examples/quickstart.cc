@@ -4,7 +4,7 @@
  * share a segment in the single address space, and watch what a
  * domain switch and a protection fault cost.
  *
- * Run: ./quickstart [model=plb|pg|conv] [key=value ...]
+ * Run: ./quickstart [model=plb|pg|conv|pkey] [key=value ...]
  */
 
 #include <cstdio>

@@ -13,7 +13,7 @@
  * what changes underneath is which hardware structures the rights
  * flips touch.
  *
- * Run: ./segment_server [model=plb|pg|conv] [appends=N]
+ * Run: ./segment_server [model=plb|pg|conv|pkey] [appends=N]
  */
 
 #include <cstdio>

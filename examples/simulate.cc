@@ -7,7 +7,7 @@
  * tree and cycle breakdown -- the one-binary entry point for poking
  * at the system.
  *
- * Run: ./simulate workload=<name> [model=plb|pg|conv] [key=value ...]
+ * Run: ./simulate workload=<name> [model=plb|pg|conv|pkey] [key=value ...]
  *
  * Workloads: rpc, churn, sharing, gc, dvm, txvm, checkpoint, comppage,
  * stream (a raw reference stream through System::run;

@@ -7,7 +7,7 @@
  * state. On the page-group model, watch the group splits and PID
  * pressure this causes (Section 4.1.2).
  *
- * Run: ./transactional [model=plb|pg|conv] [commits=N] ...
+ * Run: ./transactional [model=plb|pg|conv|pkey] [commits=N] ...
  */
 
 #include <cstdio>

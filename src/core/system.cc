@@ -122,13 +122,16 @@ template <typename Sig>
 void
 walkConfigSignature(Sig &&sig, const SystemConfig &config)
 {
+    // Every structure but the page-group cache is LRU; their policy
+    // fields stay, as this constant, so images keep their bytes.
+    constexpr u64 kLru = static_cast<u64>(hw::PolicyKind::Lru);
     auto cache = [&sig](const std::string &prefix,
                         const hw::DataCacheConfig &c) {
         sig.field(prefix + ".sizeBytes", c.sizeBytes);
         sig.field(prefix + ".lineBytes", c.lineBytes);
         sig.field(prefix + ".ways", c.ways);
         sig.field(prefix + ".org", static_cast<u64>(c.org));
-        sig.field(prefix + ".policy", static_cast<u64>(c.policy));
+        sig.field(prefix + ".policy", kLru);
         sig.field(prefix + ".seed", c.seed);
     };
     sig.field("model", static_cast<u64>(config.model));
@@ -141,11 +144,11 @@ walkConfigSignature(Sig &&sig, const SystemConfig &config)
     sig.field("tlb.kind", static_cast<u64>(config.tlb.kind));
     sig.field("tlb.sets", config.tlb.sets);
     sig.field("tlb.ways", config.tlb.ways);
-    sig.field("tlb.policy", static_cast<u64>(config.tlb.policy));
+    sig.field("tlb.policy", kLru);
     sig.field("tlb.seed", config.tlb.seed);
     sig.field("plb.sets", config.plb.sets);
     sig.field("plb.ways", config.plb.ways);
-    sig.field("plb.policy", static_cast<u64>(config.plb.policy));
+    sig.field("plb.policy", kLru);
     sig.field("plb.seed", config.plb.seed);
     sig.field("plb.sizeShifts", config.plb.sizeShifts.size());
     for (std::size_t i = 0; i < config.plb.sizeShifts.size(); ++i) {
@@ -164,7 +167,7 @@ walkConfigSignature(Sig &&sig, const SystemConfig &config)
     sig.field("pgCache.policy", static_cast<u64>(config.pgCache.policy));
     sig.field("pgCache.seed", config.pgCache.seed);
     sig.field("keyCache.entries", config.keyCache.entries);
-    sig.field("keyCache.policy", static_cast<u64>(config.keyCache.policy));
+    sig.field("keyCache.policy", kLru);
     sig.field("keyCache.seed", config.keyCache.seed);
     sig.field("pkeys", config.pkeys);
     sig.field("eagerPgReload", config.eagerPgReload ? 1 : 0);

@@ -146,7 +146,6 @@ SystemConfig::pkeySystem()
     config.tlb.sets = 1;
     config.tlb.ways = 128; // same entry count as the PLB (Section 4)
     config.keyCache.entries = 64;
-    config.keyCache.policy = hw::PolicyKind::Lru;
     config.pkeys = 16;
     return config;
 }

@@ -99,14 +99,14 @@ class AssocCache
         Payload payload{};
     };
 
+    /** @param seed only used by PolicyKind::Random. */
     AssocCache(std::size_t sets, std::size_t ways, PolicyKind policy,
                u64 seed = 1)
         : sets_(sets), ways_(ways),
           valid_(sets * ways, 0),
           tags_(sets * ways),
           payloads_(sets * ways),
-          policy_(makePolicy(policy, sets, ways, seed)),
-          needsTouch_(policy_->needsTouch()),
+          replacement_(policy, sets, ways, seed),
           indexed_(ways >= kWideSetWays)
     {
         SASOS_ASSERT(sets > 0 && ways > 0, "degenerate cache geometry");
@@ -141,8 +141,7 @@ class AssocCache
         const std::size_t way = findWay(set, tag);
         if (way == kNoWay)
             return nullptr;
-        if (needsTouch_)
-            policy_->touch(set, way);
+        replacement_.touch(set, way);
         if (loc != nullptr)
             *loc = {set, way};
         return &payloads_[set * ways_ + way];
@@ -171,8 +170,7 @@ class AssocCache
     void
     touch(const AssocLoc &loc)
     {
-        if (needsTouch_)
-            policy_->touch(loc.set, loc.way);
+        replacement_.touch(loc.set, loc.way);
     }
 
     /**
@@ -201,7 +199,7 @@ class AssocCache
             if (indexed_)
                 ++setValid_[set];
         } else {
-            way = policy_->victim(set);
+            way = replacement_.victim(set);
             SASOS_ASSERT(way < ways_, "policy returned bad way");
             if (indexed_)
                 indexErase(set, base + way);
@@ -212,7 +210,7 @@ class AssocCache
         payloads_[base + way] = std::move(payload);
         if (indexed_)
             indexInsert(set, base + way);
-        policy_->fill(set, way);
+        replacement_.fill(set, way);
         if (loc != nullptr)
             *loc = {set, way};
         return victim;
@@ -315,7 +313,7 @@ class AssocCache
             std::fill(index_.begin(), index_.end(), kEmpty);
             std::fill(setValid_.begin(), setValid_.end(), 0);
         }
-        policy_->reset();
+        replacement_.reset();
         return dropped;
     }
 
@@ -357,7 +355,7 @@ class AssocCache
      * caller bug and abort; for untrusted input it must be a clean
      * fatal instead). Wide sets find duplicates while rebuilding the
      * index, narrow ones by a pairwise scan. Occupancy is recomputed,
-     * and the replacement policy restores its own history afterwards.
+     * and the replacement state restores its own history afterwards.
      */
     /// @{
     template <typename SaveTag, typename SavePayload>
@@ -375,7 +373,7 @@ class AssocCache
                 save_payload(w, payloads_[i]);
             }
         }
-        policy_->save(w);
+        replacement_.save(w);
     }
 
     template <typename LoadTag, typename LoadPayload>
@@ -405,7 +403,7 @@ class AssocCache
             rebuildIndex();
         else
             rejectDuplicateTags();
-        policy_->load(r);
+        replacement_.load(r);
     }
     /// @}
 
@@ -565,11 +563,10 @@ class AssocCache
     std::vector<u8> valid_;
     std::vector<Tag> tags_;
     std::vector<Payload> payloads_;
-    std::unique_ptr<ReplacementPolicy> policy_;
+    /** LRU stamps or the Random stream, by value so touch() inlines
+     * into lookup(). */
+    Replacement replacement_;
     std::size_t occupancy_ = 0;
-    /** Cached policy_->needsTouch(): lookup skips the virtual touch
-     * call entirely for FIFO/Random structures. */
-    bool needsTouch_;
     /** ways_ >= kWideSetWays: the members below are in use. */
     bool indexed_;
     /** Open-addressing (set, tag) -> slot table; kEmpty when unused. */

@@ -43,7 +43,7 @@ DataCache::DataCache(const DataCacheConfig &config, stats::Group *parent,
       config_(config),
       lineShift_(std::countr_zero(config.lineBytes)),
       setMask_(config.sets() - 1),
-      array_(config.sets(), config.ways, config.policy, config.seed)
+      array_(config.sets(), config.ways, PolicyKind::Lru)
 {
     SASOS_ASSERT(std::has_single_bit(config.lineBytes), "line size not 2^k");
     SASOS_ASSERT(std::has_single_bit(config.sets()), "set count not 2^k");

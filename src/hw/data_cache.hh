@@ -49,7 +49,7 @@ struct DataCacheConfig
     u32 lineBytes = 32;
     u32 ways = 1;
     CacheOrg org = CacheOrg::Vivt;
-    PolicyKind policy = PolicyKind::Lru;
+    /** Unused by LRU; a field of every image's config section. */
     u64 seed = 1;
 
     u64 lines() const { return sizeBytes / lineBytes; }

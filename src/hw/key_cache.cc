@@ -14,7 +14,7 @@ KeyCache::KeyCache(const KeyCacheConfig &config, stats::Group *parent)
       injectedEvictions(&statsGroup, "injectedEvictions",
                         "registers dropped by fault injection"),
       config_(config),
-      array_(1, config.entries, config.policy, config.seed)
+      array_(1, config.entries, PolicyKind::Lru)
 {
 }
 

@@ -39,7 +39,7 @@ using KeyId = GroupId;
 struct KeyCacheConfig
 {
     std::size_t entries = 64;
-    PolicyKind policy = PolicyKind::Lru;
+    /** Unused by LRU; a field of every image's config section. */
     u64 seed = 1;
 };
 

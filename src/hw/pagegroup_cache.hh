@@ -5,9 +5,9 @@
  * In the PA-RISC the executing domain's accessible page-groups live
  * in four PID registers. The paper's page-group implementation
  * replaces them with an LRU cache of page-groups (after Wilkes &
- * Sears); this class models both: configure four entries with Fifo or
- * Random replacement for the register file (no LRU information for
- * the OS), or more entries with Lru for the cache variant.
+ * Sears); this class models both: configure four entries with Random
+ * replacement for the register file (no LRU information for the OS),
+ * or more entries with Lru for the cache variant.
  *
  * Each entry carries the PID's write-disable (D) bit, which denies
  * stores to the whole group regardless of the TLB Rights field.
@@ -83,7 +83,7 @@ class PageGroupCache
     /** Probe without stats/replacement updates. */
     std::optional<PidMatch> peek(GroupId aid) const;
 
-    /** Install a group (evicting LRU/FIFO/random as configured). */
+    /** Install a group (evicting LRU or random as configured). */
     void insert(GroupId aid, bool write_disable = false);
 
     /** Drop one group (segment detach). @return true if present. */

@@ -29,7 +29,7 @@ Plb::Plb(const PlbConfig &config, stats::Group *parent)
               }),
       config_(config),
       probeOrder_(config.sizeShifts),
-      array_(config.sets, config.ways, config.policy, config.seed)
+      array_(config.sets, config.ways, PolicyKind::Lru)
 {
     SASOS_ASSERT(!probeOrder_.empty(), "PLB needs at least one size class");
     SASOS_ASSERT(std::has_single_bit(config.sets), "set count not 2^k");

@@ -39,7 +39,7 @@ struct PlbConfig
 {
     std::size_t sets = 1;
     std::size_t ways = 128;
-    PolicyKind policy = PolicyKind::Lru;
+    /** Unused by LRU; a field of every image's config section. */
     u64 seed = 1;
     /**
      * Protection block sizes (log2 bytes) this PLB supports, e.g.

@@ -41,7 +41,7 @@ Tlb::Tlb(const TlbConfig &config, stats::Group *parent,
                              : 0.0;
               }),
       config_(config),
-      array_(config.sets, config.ways, config.policy, config.seed)
+      array_(config.sets, config.ways, PolicyKind::Lru)
 {
     SASOS_ASSERT(std::has_single_bit(config.sets), "set count not 2^k");
 }

@@ -72,7 +72,7 @@ struct TlbConfig
     TlbKind kind = TlbKind::TranslationOnly;
     std::size_t sets = 1;
     std::size_t ways = 64;
-    PolicyKind policy = PolicyKind::Lru;
+    /** Unused by LRU; a field of every image's config section. */
     u64 seed = 1;
 
     std::size_t entries() const { return sets * ways; }

@@ -1,6 +1,7 @@
 #include "sim/options.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "sim/cost_model.hh"
@@ -66,10 +67,14 @@ Options::getU64(const std::string &key, u64 def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    char *end = nullptr;
-    const u64 value = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0')
-        SASOS_FATAL("option '", key, "': '", it->second, "' is not an int");
+    // Decimal digits only: no sign (strtoull wraps -1 to 2^64-1), no
+    // blank, no 0x or leading-zero octal, and no silent overflow.
+    const std::string &text = it->second;
+    const char *last = text.data() + text.size();
+    u64 value = 0;
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (error != std::errc() || end != last)
+        SASOS_FATAL("option '", key, "': '", text, "' is not an int");
     return value;
 }
 
@@ -125,7 +130,7 @@ const char *
 Options::helpText()
 {
     return "common options (every argument is key=value):\n"
-           "  model=plb|pg|conv      protection architecture preset\n"
+           "  model=plb|pg|conv|pkey protection architecture preset\n"
            "  threads=N              sweep worker threads, at most 1024\n"
            "                         (default: hardware concurrency;\n"
            "                         1 = serial)\n"

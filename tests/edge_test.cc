@@ -65,11 +65,13 @@ TEST(OptionsEdgeTest, ThreadsAboveTheBoundIsFatal)
     EXPECT_EQ(options.threads(), 1024u);
 }
 
-TEST(OptionsEdgeTest, HexValuesParse)
+TEST(OptionsEdgeTest, HexValuesAreFatal)
 {
+    // Integers are decimal only; no caller passes hex.
     Options options;
     options.set("addr", "0x1000");
-    EXPECT_EQ(options.getU64("addr", 0), 0x1000u);
+    EXPECT_EXIT(options.getU64("addr", 0), ::testing::ExitedWithCode(1),
+                "option 'addr': '0x1000' is not an int");
 }
 
 TEST(ConfigEdgeTest, UnknownModelIsFatal)

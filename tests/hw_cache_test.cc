@@ -25,70 +25,41 @@
 using namespace sasos;
 using namespace sasos::hw;
 
-TEST(ReplacementTest, ParseNames)
-{
-    EXPECT_EQ(parsePolicyKind("lru"), PolicyKind::Lru);
-    EXPECT_EQ(parsePolicyKind("fifo"), PolicyKind::Fifo);
-    EXPECT_EQ(parsePolicyKind("random"), PolicyKind::Random);
-    EXPECT_EQ(parsePolicyKind("plru"), PolicyKind::TreePlru);
-}
-
 TEST(ReplacementTest, LruEvictsLeastRecentlyUsed)
 {
-    auto policy = makePolicy(PolicyKind::Lru, 1, 4);
+    Replacement policy(PolicyKind::Lru, 1, 4, 1);
     for (std::size_t way = 0; way < 4; ++way)
-        policy->fill(0, way);
-    policy->touch(0, 0); // 0 becomes MRU; 1 is now LRU
-    EXPECT_EQ(policy->victim(0), 1u);
-    policy->touch(0, 1);
-    EXPECT_EQ(policy->victim(0), 2u);
-}
-
-TEST(ReplacementTest, FifoIgnoresTouches)
-{
-    auto policy = makePolicy(PolicyKind::Fifo, 1, 4);
-    for (std::size_t way = 0; way < 4; ++way)
-        policy->fill(0, way);
-    policy->touch(0, 0);
-    policy->touch(0, 0);
-    EXPECT_EQ(policy->victim(0), 0u); // still the oldest fill
+        policy.fill(0, way);
+    policy.touch(0, 0); // 0 becomes MRU; 1 is now LRU
+    EXPECT_EQ(policy.victim(0), 1u);
+    policy.touch(0, 1);
+    EXPECT_EQ(policy.victim(0), 2u);
 }
 
 TEST(ReplacementTest, RandomIsDeterministicPerSeed)
 {
-    auto a = makePolicy(PolicyKind::Random, 1, 8, 42);
-    auto b = makePolicy(PolicyKind::Random, 1, 8, 42);
+    Replacement a(PolicyKind::Random, 1, 8, 42);
+    Replacement b(PolicyKind::Random, 1, 8, 42);
     for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(a->victim(0), b->victim(0));
+        EXPECT_EQ(a.victim(0), b.victim(0));
 }
 
 TEST(ReplacementTest, RandomVictimsInRange)
 {
-    auto policy = makePolicy(PolicyKind::Random, 1, 4, 3);
+    Replacement policy(PolicyKind::Random, 1, 4, 3);
     for (int i = 0; i < 100; ++i)
-        EXPECT_LT(policy->victim(0), 4u);
-}
-
-TEST(ReplacementTest, TreePlruNeverEvictsMostRecent)
-{
-    auto policy = makePolicy(PolicyKind::TreePlru, 1, 8);
-    for (std::size_t way = 0; way < 8; ++way)
-        policy->fill(0, way);
-    for (std::size_t way = 0; way < 8; ++way) {
-        policy->touch(0, way);
-        EXPECT_NE(policy->victim(0), way);
-    }
+        EXPECT_LT(policy.victim(0), 4u);
 }
 
 TEST(ReplacementTest, PerSetIndependence)
 {
-    auto policy = makePolicy(PolicyKind::Lru, 2, 2);
-    policy->fill(0, 0);
-    policy->fill(0, 1);
-    policy->fill(1, 1);
-    policy->fill(1, 0);
-    EXPECT_EQ(policy->victim(0), 0u);
-    EXPECT_EQ(policy->victim(1), 1u);
+    Replacement policy(PolicyKind::Lru, 2, 2, 1);
+    policy.fill(0, 0);
+    policy.fill(0, 1);
+    policy.fill(1, 1);
+    policy.fill(1, 0);
+    EXPECT_EQ(policy.victim(0), 0u);
+    EXPECT_EQ(policy.victim(1), 1u);
 }
 
 TEST(AssocCacheTest, InsertLookupInvalidate)
@@ -322,10 +293,10 @@ namespace
 
 /**
  * The naive reference: one (valid, tag, payload, stamp) record per
- * slot, a linear scan for every probe and, for LRU/FIFO, the
- * lowest-way minimum stamp as victim. Random and tree-PLRU victims
- * come from a policy object of their own driven with the same fills
- * and touches, so the soup checks the store around them.
+ * slot, a linear scan for every probe and, for LRU, the lowest-way
+ * minimum stamp as victim. Random victims are nextBelow(ways) draws
+ * from an Rng of its own, so the reference shares no replacement
+ * code with the store it checks.
  */
 class NaiveCache
 {
@@ -340,10 +311,9 @@ class NaiveCache
 
     NaiveCache(std::size_t sets, std::size_t ways, PolicyKind kind,
                u64 seed)
-        : sets_(sets), ways_(ways), kind_(kind), slots_(sets * ways)
+        : sets_(sets), ways_(ways), lru_(kind == PolicyKind::Lru),
+          slots_(sets * ways), rng_(seed)
     {
-        if (!stamped())
-            policy_ = makePolicy(kind, sets, ways, seed);
     }
 
     /** @return the way holding `tag`, or -1. */
@@ -366,10 +336,8 @@ class NaiveCache
     void
     touch(std::size_t set, std::size_t way)
     {
-        if (kind_ == PolicyKind::Lru)
+        if (lru_)
             slots_[set * ways_ + way].stamp = ++clock_;
-        else if (policy_)
-            policy_->touch(set, way);
     }
 
     /** @return (way, evicted slot if the set was full). */
@@ -381,17 +349,15 @@ class NaiveCache
         while (way < ways_ && slots_[set * ways_ + way].valid)
             ++way;
         if (way == ways_) {
-            way = stamped() ? oldest(set) : policy_->victim(set);
+            way = lru_ ? oldest(set) : rng_.nextBelow(ways_);
             evicted = slots_[set * ways_ + way];
         }
         Slot &slot = slots_[set * ways_ + way];
         slot.valid = true;
         slot.tag = tag;
         slot.payload = payload;
-        if (stamped())
+        if (lru_)
             slot.stamp = ++clock_;
-        else
-            policy_->fill(set, way);
         return {way, evicted};
     }
 
@@ -415,8 +381,6 @@ class NaiveCache
             slot.stamp = 0;
         }
         clock_ = 0;
-        if (policy_)
-            policy_->reset();
     }
 
     /** The image AssocCache::save must produce for this state. */
@@ -434,25 +398,19 @@ class NaiveCache
                 w.put64(slot.payload);
             }
         }
-        if (stamped()) {
+        if (lru_) {
             w.putTag("stamps");
             w.put64(slots_.size());
             for (const Slot &slot : slots_)
                 w.put64(slot.stamp);
             w.put64(clock_);
         } else {
-            policy_->save(w);
+            rng_.save(w);
         }
         return std::move(w).seal();
     }
 
   private:
-    bool
-    stamped() const
-    {
-        return kind_ == PolicyKind::Lru || kind_ == PolicyKind::Fifo;
-    }
-
     std::size_t
     oldest(std::size_t set) const
     {
@@ -466,10 +424,10 @@ class NaiveCache
 
     std::size_t sets_;
     std::size_t ways_;
-    PolicyKind kind_;
+    bool lru_;
     std::vector<Slot> slots_;
     u64 clock_ = 0;
-    std::unique_ptr<ReplacementPolicy> policy_;
+    Rng rng_;
 };
 
 using SoupCache = AssocCache<u64, u64>;
@@ -637,6 +595,12 @@ class AssocCacheSparseSoupTest
 {
 };
 
+std::string
+policyName(PolicyKind kind)
+{
+    return kind == PolicyKind::Lru ? "lru" : "random";
+}
+
 } // namespace
 
 TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
@@ -650,12 +614,11 @@ TEST_P(AssocCacheSoupTest, MatchesNaiveModelStepByStep)
 INSTANTIATE_TEST_SUITE_P(
     WaysByPolicy, AssocCacheSoupTest,
     ::testing::Combine(::testing::Values(4, 16, 128, 512),
-                       ::testing::Values(PolicyKind::Lru, PolicyKind::Fifo,
-                                         PolicyKind::Random,
-                                         PolicyKind::TreePlru)),
+                       ::testing::Values(PolicyKind::Lru,
+                                         PolicyKind::Random)),
     [](const ::testing::TestParamInfo<SoupParam> &info) {
         return std::to_string(std::get<0>(info.param)) + "way_" +
-               toString(std::get<1>(info.param));
+               policyName(std::get<1>(info.param));
     });
 
 TEST_P(AssocCacheSparseSoupTest, MatchesNaiveModelStepByStep)
@@ -669,13 +632,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(std::pair<std::size_t, std::size_t>{1, 512},
                           std::pair<std::size_t, std::size_t>{2, 16}),
-        ::testing::Values(PolicyKind::Lru, PolicyKind::Fifo,
-                          PolicyKind::Random, PolicyKind::TreePlru)),
+        ::testing::Values(PolicyKind::Lru, PolicyKind::Random)),
     [](const ::testing::TestParamInfo<SparseSoupParam> &info) {
         const auto &geometry = std::get<0>(info.param);
         return std::to_string(geometry.first) + "x" +
                std::to_string(geometry.second) + "way_" +
-               toString(std::get<1>(info.param));
+               policyName(std::get<1>(info.param));
     });
 
 /**
@@ -686,22 +648,30 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReplacementTest, LoadedStampTiesBreakToLowestWay)
 {
     for (std::size_t ways : {4u, 16u, 128u}) {
-        for (PolicyKind kind : {PolicyKind::Lru, PolicyKind::Fifo}) {
-            snap::SnapWriter w;
-            w.putTag("stamps");
-            w.put64(ways);
-            for (std::size_t way = 0; way < ways; ++way)
-                w.put64(way < 3 ? 9 : 4); // ways 3.. tie at the minimum
-            w.put64(9);
-            auto policy = makePolicy(kind, 1, ways);
-            snap::SnapReader r(std::move(w).seal());
-            policy->load(r);
-            EXPECT_EQ(policy->victim(0), 3u) << ways << " ways";
-            // The next oldest: way 4, or way 0 when 3 was the last.
-            policy->fill(0, 3);
-            EXPECT_EQ(policy->victim(0), ways > 4 ? 4u : 0u)
-                << ways << " ways";
+        snap::SnapWriter w;
+        w.putTag("assoc");
+        w.put64(1);
+        w.put64(ways);
+        for (std::size_t way = 0; way < ways; ++way) {
+            w.putBool(true);
+            w.put64(way); // tag
+            w.put64(way); // payload
         }
+        w.putTag("stamps");
+        w.put64(ways);
+        for (std::size_t way = 0; way < ways; ++way)
+            w.put64(way < 3 ? 9 : 4); // ways 3.. tie at the minimum
+        w.put64(9);
+        SoupCache cache(1, ways, PolicyKind::Lru);
+        loadInto(cache, std::move(w).seal());
+        AssocLoc loc;
+        const auto victim = cache.insert(0, 1000, 0, &loc);
+        ASSERT_TRUE(victim.has_value());
+        EXPECT_EQ(victim->tag, 3u) << ways << " ways";
+        EXPECT_EQ(loc.way, 3u) << ways << " ways";
+        // The next oldest: way 4, or way 0 when 3 was the last.
+        cache.insert(0, 1001, 0, &loc);
+        EXPECT_EQ(loc.way, ways > 4 ? 4u : 0u) << ways << " ways";
     }
 }
 
@@ -930,9 +900,9 @@ namespace
  * The reference a set-range page flush must match: a probe for
  * every line of the page, dropping the exact tag on Vivt and Pipt,
  * and on Vipt the highest way whose stored virtual line matches.
- * Fills and lookups drive an AssocCache of the same geometry and
- * policy the way DataCache drives its own, so the two save to the
- * same image while they agree.
+ * Fills and lookups drive an LRU AssocCache of the same geometry the
+ * way DataCache drives its own, so the two save to the same image
+ * while they agree.
  */
 class PerLineFlushCache
 {
@@ -946,7 +916,7 @@ class PerLineFlushCache
 
     explicit PerLineFlushCache(const DataCacheConfig &config)
         : config_(config),
-          array_(config.sets(), config.ways, config.policy, config.seed)
+          array_(config.sets(), config.ways, PolicyKind::Lru)
     {
     }
 

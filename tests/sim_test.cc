@@ -353,6 +353,33 @@ TEST(OptionsTest, TypedGettersUseDefaults)
     EXPECT_TRUE(options.getBool("missing", true));
 }
 
+TEST(OptionsTest, GetU64ReadsDecimal)
+{
+    Options options;
+    options.set("zero", "010");
+    options.set("max", "18446744073709551615");
+    EXPECT_EQ(options.getU64("zero", 0), 10u); // not octal
+    EXPECT_EQ(options.getU64("max", 0), ~u64{0});
+}
+
+TEST(OptionsDeathTest, GetU64TakesDecimalDigitsOnly)
+{
+    // A sign, a blank, an empty value and a value past 2^64-1 are each
+    // fatal, not wrapped, trimmed or saturated.
+    for (const char *value :
+         {"-1", "+5", " 5", "5 ", "", "18446744073709551616"}) {
+        Options options;
+        options.set("refs", value);
+        std::string pattern = std::string("option 'refs': '") + value +
+                              "' is not an int";
+        if (pattern.find('+') != std::string::npos)
+            pattern.insert(pattern.find('+'), "\\");
+        EXPECT_EXIT(options.getU64("refs", 0), ::testing::ExitedWithCode(1),
+                    pattern)
+            << value;
+    }
+}
+
 TEST(OptionsTest, BoolParsing)
 {
     Options options;

@@ -773,6 +773,38 @@ TEST(SnapCorruptionTest, ConfigMismatchNamesTheField)
     }
 }
 
+/**
+ * pgCache.policy is the one policy field that varies, and no golden
+ * image covers it (golden_v5.snap is a pkey machine). A PID-register
+ * machine (Random) restored into a page-group one (LRU) of the same
+ * size pins both encoded values.
+ */
+TEST(SnapCorruptionTest, PolicyEncodingsArePinned)
+{
+    ScopedFatalThrow bridge;
+    core::System donor(core::SystemConfig::pidRegisterSystem());
+    setupHeap(donor, 8);
+    snap::Snapshotter snapper;
+    snapper.add(donor);
+    const snap::Snapshot image = std::move(snapper).finish();
+
+    core::SystemConfig config = core::SystemConfig::pageGroupSystem();
+    config.pgCache.entries = 4;
+    core::System other(config);
+    setupHeap(other, 8);
+    snap::Restorer restorer(image);
+    try {
+        restorer.restore(other);
+        FAIL() << "a Random page-group cache restored into an LRU one";
+    } catch (const FatalRejection &rejection) {
+        EXPECT_NE(std::string(rejection.what())
+                      .find("config field 'pgCache.policy' is 0 here but "
+                            "2 in the image"),
+                  std::string::npos)
+            << rejection.what();
+    }
+}
+
 TEST(SnapCorruptionTest, MissingFileIsFatal)
 {
     ScopedFatalThrow bridge;
@@ -1095,19 +1127,29 @@ TEST(SnapGoldenTest, V5ImageStillRestores)
 }
 
 // ---------------------------------------------------------------------
-// Crafted replacement and tag images. The stamp policy's recency list
-// and the index of wide sets are rebuilt from the image, so images
+// Crafted replacement and tag images. The LRU recency list and the
+// index of wide sets are rebuilt from the image, so images
 // that would make them disagree with the saved stamps or tags must be
 // rejected, not loaded.
 
 namespace
 {
 
-/** An LRU stamp image: `ways` stamps then the clock. */
+/** A full one-set LRU cache image: way i holds (tags[i], payload i)
+ * and stamps[i], then the clock. */
 std::vector<u8>
-stampImage(const std::vector<u64> &stamps, u64 clock)
+cacheImage(const std::vector<u64> &tags, const std::vector<u64> &stamps,
+           u64 clock)
 {
     snap::SnapWriter w;
+    w.putTag("assoc");
+    w.put64(1);
+    w.put64(tags.size());
+    for (std::size_t way = 0; way < tags.size(); ++way) {
+        w.putBool(true);
+        w.put64(tags[way]);
+        w.put64(way);
+    }
     w.putTag("stamps");
     w.put64(stamps.size());
     for (u64 stamp : stamps)
@@ -1120,24 +1162,15 @@ stampImage(const std::vector<u64> &stamps, u64 clock)
 std::vector<u8>
 duplicateTagImage(std::size_t ways)
 {
-    snap::SnapWriter w;
-    w.putTag("assoc");
-    w.put64(1);
-    w.put64(ways);
+    std::vector<u64> tags, stamps;
     for (std::size_t way = 0; way < ways; ++way) {
-        w.putBool(true);
-        w.put64(way < 2 ? 7 : 100 + way); // tag
-        w.put64(way);                     // payload
+        tags.push_back(way < 2 ? 7 : 100 + way);
+        stamps.push_back(way + 1);
     }
-    w.putTag("stamps");
-    w.put64(ways);
-    for (std::size_t way = 0; way < ways; ++way)
-        w.put64(way + 1);
-    w.put64(ways);
-    return std::move(w).seal();
+    return cacheImage(tags, stamps, ways);
 }
 
-void
+hw::AssocCache<u64, u64>
 loadCache(std::size_t ways, const std::vector<u8> &image)
 {
     hw::AssocCache<u64, u64> cache(1, ways, hw::PolicyKind::Lru);
@@ -1145,32 +1178,39 @@ loadCache(std::size_t ways, const std::vector<u8> &image)
     cache.load(
         r, [](snap::SnapReader &in) { return in.get64(); },
         [](snap::SnapReader &in) { return in.get64(); });
+    return cache;
+}
+
+/** Tags 100.. in way order, so tag 100 + w sits in way w. */
+std::vector<u64>
+distinctTags(std::size_t ways)
+{
+    std::vector<u64> tags;
+    for (std::size_t way = 0; way < ways; ++way)
+        tags.push_back(100 + way);
+    return tags;
 }
 
 } // namespace
 
 TEST(SnapAssocDeathTest, StampAheadOfClockIsFatal)
 {
-    for (std::size_t ways : {4u, 128u}) {
+    for (std::size_t ways : {4u, 16u, 128u}) {
         std::vector<u64> stamps(ways, 1);
         stamps[ways / 2] = 50;
-        const std::vector<u8> image = stampImage(stamps, 49);
-        EXPECT_DEATH(
-            {
-                auto policy = hw::makePolicy(hw::PolicyKind::Lru, 1, ways);
-                snap::SnapReader r(image);
-                policy->load(r);
-            },
-            "stamp 50 .* ahead of the clock 49")
+        const std::vector<u8> image =
+            cacheImage(distinctTags(ways), stamps, 49);
+        EXPECT_DEATH(loadCache(ways, image),
+                     "stamp 50 .* ahead of the clock 49")
             << ways << " ways";
     }
     // At the clock is fine.
     std::vector<u64> stamps(128, 1);
     stamps[3] = 49;
-    auto policy = hw::makePolicy(hw::PolicyKind::Lru, 1, 128);
-    snap::SnapReader r(stampImage(stamps, 49));
-    policy->load(r);
-    EXPECT_EQ(policy->victim(0), 0u);
+    auto cache = loadCache(128, cacheImage(distinctTags(128), stamps, 49));
+    const auto victim = cache.insert(0, 1, 0);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->tag, 100u);
 }
 
 TEST(SnapAssocDeathTest, DuplicateTagIsFatalInNarrowAndIndexedSets)
